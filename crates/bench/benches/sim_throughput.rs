@@ -15,13 +15,16 @@
 //! * `driver_pingpong` — two engines wired back to back with no
 //!   simulator at all: the pinned n≤64 hot-path number.
 //! * `invalidation_1024` — a 1,026-site read fan-out invalidated by one
-//!   writer: chunked reader masks and the paged circuit table.
+//!   writer: chunked reader masks, the paged circuit table and the
+//!   library's request queue. It also prints the event loop's work
+//!   counters (queue pops, site wakes, site steps) beside the driver
+//!   events, so the events/sec figure shows what the loop really did.
 //!
 //! The committed before/after numbers live in `BENCH_sim_throughput.json`
 //! at the repo root; regenerate the "after" entries by running this
 //! bench on the current tree. A scenario-substring filter skips the
 //! rest (`cargo bench --bench sim_throughput -p mirage-bench --
-//! driver_pingpong` re-checks the n≤64 pin without the ~2s 1,024-site
+//! driver_pingpong` re-checks the n≤64 pin without the 1,024-site
 //! fan-out).
 
 use std::collections::VecDeque;
@@ -203,18 +206,24 @@ fn largen_scenario() -> String {
 
     let probe = run();
     let events_per_iter = probe.engine_events();
+    let work = probe.loop_counters();
     drop(probe);
 
     let r = bench(name, || std::hint::black_box(run().total_accesses()));
     let events_per_sec = events_per_iter as f64 * r.per_sec();
     println!(
-        "{name}: {events_per_iter} driver events/iter, {:.3} M driver events/sec",
-        events_per_sec / 1e6
+        "{name}: {events_per_iter} driver events/iter, {:.3} M driver events/sec; \
+         {} queue pops, {} site wakes, {} site steps/iter",
+        events_per_sec / 1e6,
+        work.queue_pops,
+        work.wakes,
+        work.site_steps
     );
     format!(
         "{{\"scenario\":\"{name}\",\"ns_per_iter\":{:.1},\
-         \"events_per_iter\":{events_per_iter},\"events_per_sec\":{:.0}}}",
-        r.ns_per_iter, events_per_sec
+         \"events_per_iter\":{events_per_iter},\"events_per_sec\":{:.0},\
+         \"queue_pops_per_iter\":{},\"wakes_per_iter\":{},\"site_steps_per_iter\":{}}}",
+        r.ns_per_iter, events_per_sec, work.queue_pops, work.wakes, work.site_steps
     )
 }
 

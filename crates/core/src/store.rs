@@ -26,10 +26,14 @@ pub trait PageStore {
     ///
     /// Returns a zeroed page if the page was not resident — which the
     /// engine never asks for; the fallback keeps the trait total.
+    ///
+    /// A store whose frames running threads write directly must revoke
+    /// access *before* reading the bytes, so no store lands after them.
     fn take(&mut self, seg: SegmentId, page: PageNum) -> PageData;
 
     /// Copies a resident page's bytes without removing it (used to grant
-    /// read copies while retaining the local one).
+    /// read copies while retaining the local one). The engine revokes
+    /// write access before it copies a page it held writable.
     fn copy(&self, seg: SegmentId, page: PageNum) -> PageData;
 
     /// Installs a page received from the network with the given

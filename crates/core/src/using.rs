@@ -769,7 +769,16 @@ impl SiteEngine {
             Demand::Read { to } => {
                 // We are the writer (Table 1 row 3). Grant read copies,
                 // then downgrade ourselves (optimization 2) or discard.
-                let data = store.copy(seg, page);
+                // Write access goes first: on real memory, application
+                // threads store to the frame directly, and a store
+                // landing after the copy would be lost to the readers.
+                let downgraded = self.config.downgrade_optimization;
+                let data = if downgraded {
+                    store.set_prot(seg, page, PageProt::Read);
+                    store.copy(seg, page)
+                } else {
+                    store.take(seg, page)
+                };
                 for r in to.iter() {
                     if r == self.site {
                         continue;
@@ -811,9 +820,7 @@ impl SiteEngine {
                         self.push_trace(ev, sink);
                     }
                 }
-                let downgraded = self.config.downgrade_optimization;
                 if downgraded {
-                    store.set_prot(seg, page, PageProt::Read);
                     // Table 2: `install time` is "installation time for
                     // this page at this site" — a downgrade is not a new
                     // install, so the (already expired) window is NOT
@@ -831,7 +838,6 @@ impl SiteEngine {
                         self.push_trace(ev, sink);
                     }
                 } else {
-                    store.set_prot(seg, page, PageProt::None);
                     if self.tracing() {
                         let mut ev = self.trace_event(
                             TraceKind::CopyRelinquished,

@@ -5,18 +5,26 @@
 //! interleave faults and assert on quiescent global state.
 
 use std::collections::VecDeque;
+use std::ops::{
+    Deref,
+    DerefMut,
+};
 
 use mirage_core::{
     DriverOps,
     Event,
     InMemStore,
+    PageStore,
     ProtoMsg,
     ProtocolConfig,
     ProtocolDriver,
     RefLogEntry,
     SiteEngine,
 };
-use mirage_mem::LocalSegment;
+use mirage_mem::{
+    LocalSegment,
+    PageData,
+};
 use mirage_net::{
     message::Sized2,
     SizeClass,
@@ -25,6 +33,7 @@ use mirage_trace::TraceEvent;
 use mirage_types::{
     Access,
     PageNum,
+    PageProt,
     Pid,
     SegmentId,
     SimTime,
@@ -41,10 +50,57 @@ pub struct SentMsg {
     pub size: SizeClass,
 }
 
+/// An [`InMemStore`] that holds the engine to the order real memory
+/// needs: a page is never copied out while local threads may still
+/// write it, since a store landing after the copy would be lost to the
+/// readers the copy is for.
+pub struct CheckedStore(InMemStore);
+
+impl Deref for CheckedStore {
+    type Target = InMemStore;
+
+    fn deref(&self) -> &InMemStore {
+        &self.0
+    }
+}
+
+impl DerefMut for CheckedStore {
+    fn deref_mut(&mut self) -> &mut InMemStore {
+        &mut self.0
+    }
+}
+
+impl PageStore for CheckedStore {
+    fn take(&mut self, seg: SegmentId, page: PageNum) -> PageData {
+        self.0.take(seg, page)
+    }
+
+    fn copy(&self, seg: SegmentId, page: PageNum) -> PageData {
+        assert_ne!(
+            self.0.prot(seg, page),
+            PageProt::ReadWrite,
+            "{seg:?} {page:?} copied out while still writable"
+        );
+        self.0.copy(seg, page)
+    }
+
+    fn install(&mut self, seg: SegmentId, page: PageNum, data: PageData, prot: PageProt) {
+        self.0.install(seg, page, data, prot);
+    }
+
+    fn set_prot(&mut self, seg: SegmentId, page: PageNum, prot: PageProt) {
+        self.0.set_prot(seg, page, prot);
+    }
+
+    fn prot(&self, seg: SegmentId, page: PageNum) -> PageProt {
+        self.0.prot(seg, page)
+    }
+}
+
 #[allow(dead_code)] // Not every test binary uses every helper.
 pub struct Cluster {
     pub drivers: Vec<ProtocolDriver>,
-    pub stores: Vec<InMemStore>,
+    pub stores: Vec<CheckedStore>,
     now: SimTime,
     net: VecDeque<(SiteId, SiteId, ProtoMsg)>,
     timers: Vec<(SimTime, SiteId, u64)>,
@@ -67,7 +123,7 @@ impl Cluster {
                 d
             })
             .collect();
-        let stores = (0..n).map(|_| InMemStore::new()).collect();
+        let stores = (0..n).map(|_| CheckedStore(InMemStore::new())).collect();
         Self {
             drivers,
             stores,

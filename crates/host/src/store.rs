@@ -72,10 +72,12 @@ impl PageStore for HostStore {
         let Some((map, prots)) = self.segs.get_mut(&seg) else {
             return PageData::zeroed();
         };
-        let mut buf = [0u8; PAGE_SIZE];
-        map.read_page(page.index(), &mut buf);
+        // Revoke first: a store an application thread makes after the
+        // bytes are read would otherwise be lost.
         map.protect(page.index(), PageProt::None);
         prots[page.index()] = PageProt::None;
+        let mut buf = [0u8; PAGE_SIZE];
+        map.read_page(page.index(), &mut buf);
         PageData::from_bytes(&buf)
     }
 

@@ -42,6 +42,8 @@ pub struct CalendarQueue<T> {
     len: usize,
     /// Monotone push counter: the FIFO tie-break within an instant.
     seq: u64,
+    /// Time of the most recent push (meaningless while `seq` is 0).
+    last_at: SimTime,
     /// Lower bound on the day of the earliest queued event. May move
     /// backwards when a push lands before the cursor (the world peeks
     /// ahead for its horizon, then schedules at `now`).
@@ -57,7 +59,13 @@ impl<T> Default for CalendarQueue<T> {
 impl<T> CalendarQueue<T> {
     /// An empty queue with all buckets preallocated.
     pub fn new() -> Self {
-        Self { buckets: (0..DAYS).map(|_| Vec::new()).collect(), len: 0, seq: 0, cursor: 0 }
+        Self {
+            buckets: (0..DAYS).map(|_| Vec::new()).collect(),
+            len: 0,
+            seq: 0,
+            last_at: SimTime::ZERO,
+            cursor: 0,
+        }
     }
 
     /// Queued event count.
@@ -80,6 +88,7 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, at: SimTime, item: T) -> u64 {
         self.seq += 1;
         let seq = self.seq;
+        self.last_at = at;
         let day = Self::day(at);
         if day < self.cursor {
             self.cursor = day;
@@ -92,6 +101,32 @@ impl<T> CalendarQueue<T> {
         bucket.insert(idx, (at, seq, item));
         self.len += 1;
         seq
+    }
+
+    /// The most recently pushed event, if it is still queued: its time
+    /// and its payload, which the caller may update in place. Returns
+    /// `None` before the first push and once that event has popped.
+    ///
+    /// Nothing can sit between the most recent push and a push made now
+    /// at the same instant (their sequence numbers are adjacent), so a
+    /// caller may fold the new item into this one instead of queueing it.
+    pub fn last_pushed_mut(&mut self) -> Option<(SimTime, &mut T)> {
+        if self.seq == 0 {
+            return None;
+        }
+        let at = self.last_at;
+        let bucket = &mut self.buckets[Self::day(at) as usize & (DAYS - 1)];
+        // The latest push has the highest `seq`, so among equal times it
+        // sorts last: it is the final entry with time <= `at`, if queued.
+        let idx = bucket.partition_point(|e| e.0 <= at).checked_sub(1)?;
+        let (t, seq, item) = &mut bucket[idx];
+        (*seq == self.seq).then_some((*t, item))
+    }
+
+    /// Every queued event, in no particular order (test inspection).
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> impl Iterator<Item = (SimTime, &T)> {
+        self.buckets.iter().flatten().map(|(t, _, item)| (*t, item))
     }
 
     /// Advances the cursor to the day of the earliest event and returns
@@ -171,6 +206,70 @@ mod tests {
         assert_eq!(q.pop().map(|(_, _, v)| v), Some(0));
         assert_eq!(q.pop().map(|(_, _, v)| v), Some(1));
         assert_eq!(q.pop().map(|(_, _, v)| v), Some(2));
+    }
+
+    #[test]
+    fn last_pushed_is_the_latest_queued_push() {
+        let mut q = CalendarQueue::new();
+        assert!(q.last_pushed_mut().is_none(), "nothing pushed yet");
+        q.push(SimTime(40), 1u32);
+        q.push(SimTime(40), 2u32);
+        let (t, v) = q.last_pushed_mut().expect("still queued");
+        assert_eq!((t, *v), (SimTime(40), 2));
+        // Updating in place changes what pops.
+        *v = 20;
+        // An earlier instant pushed later is now the latest push, even
+        // though it pops first.
+        q.push(SimTime(10), 3u32);
+        assert_eq!(q.last_pushed_mut().map(|(t, v)| (t, *v)), Some((SimTime(10), 3)));
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        assert_eq!(popped, vec![3, 1, 20]);
+    }
+
+    #[test]
+    fn last_pushed_is_gone_after_an_intervening_push() {
+        let mut q = CalendarQueue::new();
+        q.push(SimTime(40), "wake");
+        q.push(SimTime(40), "other");
+        // The accessor names only the latest push; "wake" is not it.
+        assert_eq!(q.last_pushed_mut().map(|(_, v)| *v), Some("other"));
+        q.push(SimTime(90), "later");
+        assert_eq!(q.last_pushed_mut().map(|(t, v)| (t, *v)), Some((SimTime(90), "later")));
+    }
+
+    #[test]
+    fn last_pushed_is_gone_once_popped() {
+        let mut q = CalendarQueue::new();
+        q.push(SimTime(5), "a");
+        q.push(SimTime(5), "b");
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("a"));
+        assert_eq!(q.last_pushed_mut().map(|(_, v)| *v), Some("b"));
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("b"));
+        assert!(q.last_pushed_mut().is_none(), "the latest push has popped");
+        // Same instant again: a fresh push is found, the popped one is not.
+        q.push(SimTime(5), "c");
+        assert_eq!(q.last_pushed_mut().map(|(_, v)| *v), Some("c"));
+    }
+
+    #[test]
+    fn last_pushed_in_a_year_wrapped_bucket() {
+        let mut q = CalendarQueue::new();
+        // Three events sharing one bucket index a year apart: the latest
+        // push sits between the others in the bucket's sorted order.
+        let day = 1u64 << DAY_SHIFT;
+        let year = DAYS as u64 * day;
+        let near = SimTime(3 * day + 1);
+        let mid = SimTime(3 * day + year + 1);
+        let far = SimTime(3 * day + 2 * year + 1);
+        q.push(far, "far");
+        q.push(near, "near");
+        q.push(mid, "mid");
+        assert_eq!(q.last_pushed_mut().map(|(t, v)| (t, *v)), Some((mid, "mid")));
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("near"));
+        assert_eq!(q.last_pushed_mut().map(|(t, v)| (t, *v)), Some((mid, "mid")));
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("mid"));
+        assert!(q.last_pushed_mut().is_none(), "popped across the year boundary");
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("far"));
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub use program::{
 };
 pub use site::SchedParams;
 pub use world::{
+    LoopCounters,
     MigrationEvent,
     PlacementPolicy,
     SimConfig,

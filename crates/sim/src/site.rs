@@ -130,6 +130,8 @@ pub struct Site {
     pub store: InMemStore,
     /// All processes ever spawned here.
     pub procs: Vec<Process>,
+    /// How many of `procs` have not exited.
+    live: usize,
     run_queue: VecDeque<usize>,
     current: Option<usize>,
     quantum_end: SimTime,
@@ -166,6 +168,7 @@ impl Site {
             driver,
             store: InMemStore::new(),
             procs: Vec::new(),
+            live: 0,
             run_queue: VecDeque::new(),
             current: None,
             quantum_end: SimTime::ZERO,
@@ -184,6 +187,7 @@ impl Site {
     pub(crate) fn spawn(&mut self, proc: Process) -> usize {
         let idx = self.procs.len();
         self.procs.push(proc);
+        self.live += 1;
         self.run_queue.push_back(idx);
         idx
     }
@@ -210,9 +214,15 @@ impl Site {
             && !self.procs.iter().any(|p| matches!(p.state, ProcState::Sleeping(_)))
     }
 
-    /// All user programs have exited.
-    pub fn all_done(&self) -> bool {
-        self.procs.iter().all(|p| p.state == ProcState::Done)
+    /// How many user programs have not yet exited.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Until when the CPU is committed: a step before this instant
+    /// does nothing but ask to be woken at it.
+    pub(crate) fn busy_until(&self) -> SimTime {
+        self.busy_until
     }
 
     fn nearest_sleeper(&self) -> Option<SimTime> {
@@ -589,6 +599,7 @@ impl Site {
                     self.current = None;
                     self.busy_until = t;
                     self.procs[c].state = ProcState::Done;
+                    self.live -= 1;
                     return Some(t);
                 }
             }

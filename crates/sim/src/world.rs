@@ -145,8 +145,9 @@ enum Ev {
     /// sequence/incarnation stamp in fault mode; `None` on the pristine
     /// (no-fault-layer) path.
     Arrival { to: usize, from: SiteId, msg: ProtoMsg, stamp: Option<Stamp> },
-    /// A site asked to be re-examined.
-    SiteWake { site: usize },
+    /// `count` requests to re-examine `site`, standing for that many
+    /// single wakes at consecutive queue positions (see [`World::push`]).
+    SiteWake { site: usize, count: u32 },
     /// An engine timer firing.
     EngineTimer { site: usize, token: u64 },
     /// A scheduled site crash (fault mode only).
@@ -165,6 +166,18 @@ enum Ev {
     /// into the station queue (even while the site is down — the
     /// backlog is the point) and wake any parked workers.
     OpenLoopArrival { station: usize },
+}
+
+/// How much work the event loop has done. Diagnostic only: no report
+/// renders these, so they can change without touching any golden.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoopCounters {
+    /// Entries popped from the event queue.
+    pub queue_pops: u64,
+    /// Site wakes popped, counting every member of a wake run.
+    pub wakes: u64,
+    /// Calls into the per-site scheduler step.
+    pub site_steps: u64,
 }
 
 /// Sentinel for "no delivery recorded yet" in the circuit matrix.
@@ -260,6 +273,9 @@ pub struct World {
     /// Installed open-loop stations, in install order (the index is the
     /// [`Ev::OpenLoopArrival`] key).
     openloop: Vec<OpenLoopRt>,
+    /// Spawned processes that have not exited, across all sites.
+    live: usize,
+    counters: LoopCounters,
 }
 
 /// World-side runtime state of one open-loop station.
@@ -305,6 +321,8 @@ impl World {
             lib_where: HashMap::new(),
             placement: None,
             openloop: Vec::new(),
+            live: 0,
+            counters: LoopCounters::default(),
         }
     }
 
@@ -431,7 +449,8 @@ impl World {
         let local = self.sites[site].procs.len() as u32 + 1;
         let pid = Pid::new(SiteId(site as u16), local);
         self.sites[site].spawn(Process::new(pid, program, shm_pages));
-        self.push(self.now, Ev::SiteWake { site });
+        self.live += 1;
+        self.push(self.now, Ev::SiteWake { site, count: 1 });
         pid
     }
 
@@ -481,12 +500,24 @@ impl World {
             let woke = self.sites[site].wake_parked(&pids);
             self.openloop[idx].pids = pids;
             if woke {
-                self.push(self.now, Ev::SiteWake { site });
+                self.push(self.now, Ev::SiteWake { site, count: 1 });
             }
         }
     }
 
+    /// Queues an event. A wake folds into the most recent push when that
+    /// is a still-queued wake of the same site at the same instant: the
+    /// two would pop back to back, so one run entry stands for both.
     fn push(&mut self, at: SimTime, ev: Ev) {
+        if let Ev::SiteWake { site, count } = ev {
+            if let Some((t, Ev::SiteWake { site: s, count: c })) = self.events.last_pushed_mut()
+            {
+                if t == at && *s == site {
+                    *c += count;
+                    return;
+                }
+            }
+        }
         self.events.push(at, ev);
     }
 
@@ -647,13 +678,38 @@ impl World {
         }
     }
 
+    /// Runs `count` wakes of `site` popped as one run, exactly as that
+    /// many single wakes at consecutive queue positions would run.
+    fn wake_run(&mut self, site: usize, count: u32) {
+        if self.site_down(site) {
+            return;
+        }
+        for left in (0..count).rev() {
+            let busy_until = self.sites[site].busy_until();
+            if self.now < busy_until {
+                // Each remaining wake would find the CPU busy and re-wake
+                // at `busy_until`: queue them there as one run.
+                self.push(busy_until, Ev::SiteWake { site, count: left + 1 });
+                return;
+            }
+            self.poke(site, left > 0);
+        }
+    }
+
     /// Steps a site until it asks to be woken later (or goes idle).
-    fn poke(&mut self, site: usize) {
+    /// `more_wakes_now` says the rest of a wake run for this site is
+    /// still pending at `now`, which bounds the step horizon at `now`.
+    fn poke(&mut self, site: usize, more_wakes_now: bool) {
         // Take the pooled effect buffer for the whole poke (capacity is
         // retained across steps and pokes; `poke` never re-enters).
         let mut effects = std::mem::take(&mut self.scratch);
+        let live = self.sites[site].live();
         loop {
-            let horizon = self.next_event_time().unwrap_or(SimTime(u64::MAX));
+            let mut horizon = self.next_event_time().unwrap_or(SimTime(u64::MAX));
+            if more_wakes_now {
+                horizon = horizon.min(self.now);
+            }
+            self.counters.site_steps += 1;
             let res = self.sites[site].step(self.now, horizon, &mut effects);
             // Trace effects are pure observation: they must not count as
             // progress, or enabling tracing would change the scheduler's
@@ -662,7 +718,7 @@ impl World {
             self.apply_effects(site, &mut effects);
             match res {
                 Some(t) if t > self.now => {
-                    self.push(t, Ev::SiteWake { site });
+                    self.push(t, Ev::SiteWake { site, count: 1 });
                     break;
                 }
                 Some(_) => {
@@ -679,12 +735,13 @@ impl World {
                     // `now`). Defer behind it: re-wake after the queue
                     // drains this instant. Never loop here — that would
                     // spin forever.
-                    self.push(self.now, Ev::SiteWake { site });
+                    self.push(self.now, Ev::SiteWake { site, count: 1 });
                     break;
                 }
                 None => break,
             }
         }
+        self.live -= live - self.sites[site].live();
         self.scratch = effects;
     }
 
@@ -709,7 +766,7 @@ impl World {
             self.instr.upgrades += 1;
         }
         self.sites[to].queue_server_work(ServerWork::Deliver { from, msg }, self.now);
-        self.poke(to);
+        self.poke(to, false);
     }
 
     /// Fault-mode delivery: screen for a down receiver and stale
@@ -884,7 +941,7 @@ impl World {
         self.sites[site].restart(now, &mut effects);
         self.apply_effects(site, &mut effects);
         self.scratch = effects;
-        self.push(self.now, Ev::SiteWake { site });
+        self.push(self.now, Ev::SiteWake { site, count: 1 });
     }
 
     /// Initiates a library-role handoff for `seg` toward `to`. `shard`
@@ -932,7 +989,7 @@ impl World {
         self.apply_effects(src, &mut effects);
         self.scratch = effects;
         self.lib_where.insert((seg, shard), to);
-        self.push(self.now, Ev::SiteWake { site: src });
+        self.push(self.now, Ev::SiteWake { site: src, count: 1 });
     }
 
     /// One advisor evaluation: evict the reference window, score it,
@@ -970,7 +1027,7 @@ impl World {
         for (seg, shard, to) in moves {
             self.apply_migrate(seg, to, Some(shard));
         }
-        if !self.sites.iter().all(Site::all_done) {
+        if self.live > 0 {
             self.push(self.now + interval, Ev::PolicyTick);
         }
     }
@@ -983,6 +1040,7 @@ impl World {
                 break;
             }
             let (t, _, ev) = self.events.pop().expect("peeked");
+            self.counters.queue_pops += 1;
             if t > self.now {
                 self.now = t;
             }
@@ -994,16 +1052,15 @@ impl World {
                         self.deliver_msg(to, from, msg);
                     }
                 }
-                Ev::SiteWake { site } => {
-                    if !self.site_down(site) {
-                        self.poke(site);
-                    }
+                Ev::SiteWake { site, count } => {
+                    self.counters.wakes += u64::from(count);
+                    self.wake_run(site, count);
                 }
                 Ev::EngineTimer { site, token } => {
                     if !self.site_down(site) {
                         self.sites[site]
                             .queue_server_work(ServerWork::Timer { token }, self.now);
-                        self.poke(site);
+                        self.poke(site, false);
                     }
                 }
                 Ev::Crash { site } => self.apply_crash(site),
@@ -1032,7 +1089,7 @@ impl World {
     /// painful to localize.
     pub fn run_to_completion(&mut self, deadline: SimTime) -> bool {
         while self.now < deadline {
-            if self.sites.iter().all(Site::all_done) {
+            if self.live == 0 {
                 return true;
             }
             let Some(t) = self.next_event_time() else {
@@ -1124,6 +1181,11 @@ impl World {
         self.sites.iter().map(|s| s.driver.events_dispatched()).sum()
     }
 
+    /// Event-loop work counters since the world was built.
+    pub fn loop_counters(&self) -> LoopCounters {
+        self.counters
+    }
+
     /// Enables Table 3 phase tracing (preallocates the trace buffer).
     pub fn enable_phase_trace(&mut self) {
         self.instr.trace_phases = true;
@@ -1172,5 +1234,98 @@ impl World {
         ev.subject = Some(msg.subject());
         ev.msg = Some(msg.kind());
         ev
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mirage_core::{
+        DeltaPolicy,
+        RetryPolicy,
+    };
+    use mirage_net::CrashEvent;
+    use mirage_types::Delta;
+
+    use super::*;
+    use crate::program::{
+        MemRef,
+        Op,
+        Script,
+    };
+
+    const READERS: usize = 64;
+    const DOWN: SimDuration = SimDuration::from_millis(50);
+
+    /// `READERS` sites each read one page held by a library at site 0,
+    /// which crashes at `crash_at` and restarts `DOWN` later.
+    fn fanout_with_library_crash(crash_at: SimTime) -> World {
+        let mut cfg = SimConfig::default();
+        cfg.protocol.delta = DeltaPolicy::Uniform(Delta(0));
+        cfg.protocol.retry = Some(RetryPolicy::default());
+        let mut w = World::new(READERS + 1, cfg);
+        let seg = w.create_segment(0, 1);
+        let mut plan = FaultPlan::none();
+        plan.crashes.push(CrashEvent {
+            site: SiteId(0),
+            at: crash_at,
+            back_at: crash_at + DOWN,
+        });
+        w.install_fault_plan(plan);
+        let r = MemRef::new(seg, PageNum(0), 0);
+        for s in 1..=READERS {
+            w.spawn(s, Box::new(Script::new(vec![Op::Read(r), Op::Exit])), 1);
+        }
+        w
+    }
+
+    /// The largest queued wake run of `site`, as `(time, count)`.
+    fn largest_wake_run(w: &World, site: usize) -> Option<(SimTime, u32)> {
+        w.events
+            .queued()
+            .filter_map(|(t, ev)| match *ev {
+                Ev::SiteWake { site: s, count } if s == site => Some((t, count)),
+                _ => None,
+            })
+            .max_by_key(|&(_, count)| count)
+    }
+
+    #[test]
+    fn library_crash_drops_a_queued_wake_run_whole() {
+        // Find an instant at which the library has a run of wakes queued,
+        // on a copy whose crash comes far later: both worlds follow the
+        // same timeline until the earlier crash fires.
+        let late = SimTime::from_millis(50_000);
+        let mut probe = fanout_with_library_crash(late);
+        let mut found = None;
+        while let Some(t) = probe.next_event_time().filter(|&t| t < late) {
+            probe.run_until(t);
+            if largest_wake_run(&probe, 0).is_some_and(|(_, n)| n >= 2) {
+                found = Some((t, probe.next_event_time().expect("the run is queued")));
+                break;
+            }
+        }
+        let (seen_at, crash_at) = found.expect("the library queues a wake run");
+
+        let mut w = fanout_with_library_crash(crash_at);
+        w.run_until(seen_at);
+        let (run_at, run_len) = largest_wake_run(&w, 0).expect("same timeline as the probe");
+        assert!(run_len >= 2 && run_at >= crash_at && run_at < crash_at + DOWN);
+
+        // The crash pops first at its instant; then the run pops and is
+        // dropped whole: none of its members steps the down site.
+        let before = w.loop_counters();
+        w.run_until(run_at);
+        let after = w.loop_counters();
+        assert!(after.wakes - before.wakes >= u64::from(run_len), "the run popped");
+        assert!(after.site_steps - before.site_steps < u64::from(run_len));
+
+        // Nothing wakes the library again until its restart.
+        w.run_until(SimTime((crash_at + DOWN).0 - 1));
+        assert_eq!(largest_wake_run(&w, 0), None, "the run was dropped while down");
+
+        assert!(w.run_to_completion(SimTime::from_millis(60_000)));
+        assert!(w.stuck_pids().is_empty());
+        assert_eq!(w.total_accesses(), READERS as u64, "every reader read the page");
+        assert_eq!(w.fault_stats().map(|f| f.crashes), Some(1));
     }
 }
