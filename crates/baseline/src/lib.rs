@@ -12,18 +12,14 @@
 //!   manager; each site keeps a `probOwner` hint and requests chase the
 //!   hint chain to the true owner.
 //!
-//! A third rival, [`tardis_cost::TardisCost`], models Yu & Devadas's
-//! Tardis timestamp coherence: per-page logical `rts`/`wts` leases at a
-//! home site, write-back recalls instead of invalidation fan-out, and
-//! data-free lease renewals — the logical-lease counterpart to Mirage's
-//! physical-Δ window.
-//!
-//! All are exercised through [`common::DsmProtocol`], a trace-driven
+//! Both are exercised through [`common::DsmProtocol`], a trace-driven
 //! interface that counts the messages each access needs and prices them
 //! with the paper's calibrated [`mirage_net::NetCosts`].
-//! [`mirage_adapter::MirageCost`] wraps the real Mirage engine behind
+//! [`mirage_adapter::MirageCost`] wraps the real protocol engine behind
 //! the same interface, so benchmark B1 can run identical access traces
-//! through all the protocols.
+//! through all the protocols. Under `ProtocolConfig::tardis()` the same
+//! adapter runs the engine's Tardis timestamp coherence (Yu & Devadas),
+//! B1's third rival.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,7 +28,6 @@ pub mod common;
 pub mod li_central;
 pub mod li_distributed;
 pub mod mirage_adapter;
-pub mod tardis_cost;
 
 pub use common::{
     AccessTrace,
@@ -43,4 +38,3 @@ pub use common::{
 pub use li_central::LiCentral;
 pub use li_distributed::LiDistributed;
 pub use mirage_adapter::MirageCost;
-pub use tardis_cost::TardisCost;

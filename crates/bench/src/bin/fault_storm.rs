@@ -83,17 +83,68 @@ use mirage_sim::{
     run_fuzz_seed_protocol_traced,
     run_fuzz_seed_sized_traced,
     run_fuzz_seed_traced,
+    FuzzOutcome,
     FuzzProtocol,
 };
 use mirage_trace::{
     chrome,
     event_to_json,
     from_trace,
+    TraceEvent,
 };
 use mirage_workloads::{
     run_fuzz_seed_openloop,
     run_fuzz_seed_openloop_traced,
 };
+
+/// The seed generator a run uses, resolved once from the flags.
+#[derive(Clone, Copy)]
+enum Family {
+    Classic,
+    Migrate,
+    Delta,
+    Protocol(FuzzProtocol),
+    Large,
+    /// `--sites N` with `--seed`: one world of exactly N sites.
+    Sized(usize),
+    OpenLoop,
+}
+
+impl Family {
+    /// Runs one seed. A traced run also returns its events; the sized
+    /// family always runs traced.
+    fn run(self, seed: u64, traced: bool) -> (FuzzOutcome, Vec<TraceEvent>) {
+        let plain = |outcome| (outcome, Vec::new());
+        match (self, traced) {
+            (Family::Classic, true) => run_fuzz_seed_traced(seed),
+            (Family::Classic, false) => plain(run_fuzz_seed(seed)),
+            (Family::Migrate, true) => run_fuzz_seed_migrating_traced(seed),
+            (Family::Migrate, false) => plain(run_fuzz_seed_migrating(seed)),
+            (Family::Delta, true) => run_fuzz_seed_delta_traced(seed),
+            (Family::Delta, false) => plain(run_fuzz_seed_delta(seed)),
+            (Family::Protocol(p), true) => run_fuzz_seed_protocol_traced(seed, p),
+            (Family::Protocol(p), false) => plain(run_fuzz_seed_protocol(seed, p)),
+            (Family::Large, true) => run_fuzz_seed_large_traced(seed),
+            (Family::Large, false) => plain(run_fuzz_seed_large(seed)),
+            (Family::Sized(n), _) => run_fuzz_seed_sized_traced(seed, n),
+            (Family::OpenLoop, true) => run_fuzz_seed_openloop_traced(seed),
+            (Family::OpenLoop, false) => plain(run_fuzz_seed_openloop(seed)),
+        }
+    }
+
+    /// The flag that selects this family in a replay command.
+    fn flag(self) -> String {
+        match self {
+            Family::Classic => String::new(),
+            Family::Migrate => " --migrate".into(),
+            Family::Delta => " --delta".into(),
+            Family::Protocol(p) => format!(" --protocol {}", p.name()),
+            Family::Large => " --large".into(),
+            Family::Sized(n) => format!(" --sites {n}"),
+            Family::OpenLoop => " --openloop".into(),
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -209,44 +260,20 @@ fn main() {
         std::process::exit(if failed > 0 { 1 } else { 0 });
     }
 
+    // A pinned site count only shapes a single seed; a sweep runs the
+    // planet-scale generator.
+    let family = match (sites, single) {
+        (Some(n), Some(_)) => Family::Sized(n),
+        _ if openloop => Family::OpenLoop,
+        _ if large => Family::Large,
+        _ if delta => Family::Delta,
+        _ if protocol != FuzzProtocol::Mirage => Family::Protocol(protocol),
+        _ if migrate => Family::Migrate,
+        _ => Family::Classic,
+    };
+
     if let Some(seed) = single {
-        let (outcome, events) = if let Some(n) = sites {
-            // A pinned site count always runs traced: the point of
-            // `--sites` is putting a specific-scale world through the
-            // oracles, and tracing never changes the execution.
-            run_fuzz_seed_sized_traced(seed, n)
-        } else if openloop {
-            if want_trace {
-                run_fuzz_seed_openloop_traced(seed)
-            } else {
-                (run_fuzz_seed_openloop(seed), Vec::new())
-            }
-        } else if large {
-            if want_trace {
-                run_fuzz_seed_large_traced(seed)
-            } else {
-                (run_fuzz_seed_large(seed), Vec::new())
-            }
-        } else if delta {
-            if want_trace {
-                run_fuzz_seed_delta_traced(seed)
-            } else {
-                (run_fuzz_seed_delta(seed), Vec::new())
-            }
-        } else if protocol != FuzzProtocol::Mirage {
-            if want_trace {
-                run_fuzz_seed_protocol_traced(seed, protocol)
-            } else {
-                (run_fuzz_seed_protocol(seed, protocol), Vec::new())
-            }
-        } else {
-            match (want_trace, migrate) {
-                (true, true) => run_fuzz_seed_migrating_traced(seed),
-                (true, false) => run_fuzz_seed_traced(seed),
-                (false, true) => (run_fuzz_seed_migrating(seed), Vec::new()),
-                (false, false) => (run_fuzz_seed(seed), Vec::new()),
-            }
-        };
+        let (outcome, events) = family.run(seed, want_trace);
         println!("{}", outcome.describe());
         if let Some(stats) = outcome.stats {
             println!(
@@ -297,38 +324,7 @@ fn main() {
     let mut crashes = 0u64;
     let mut dropped = 0u64;
     for seed in start..start + seeds {
-        let outcome = if openloop {
-            if check_trace {
-                run_fuzz_seed_openloop_traced(seed).0
-            } else {
-                run_fuzz_seed_openloop(seed)
-            }
-        } else if large {
-            if check_trace {
-                run_fuzz_seed_large_traced(seed).0
-            } else {
-                run_fuzz_seed_large(seed)
-            }
-        } else if delta {
-            if check_trace {
-                run_fuzz_seed_delta_traced(seed).0
-            } else {
-                run_fuzz_seed_delta(seed)
-            }
-        } else if protocol != FuzzProtocol::Mirage {
-            if check_trace {
-                run_fuzz_seed_protocol_traced(seed, protocol).0
-            } else {
-                run_fuzz_seed_protocol(seed, protocol)
-            }
-        } else {
-            match (check_trace, migrate) {
-                (true, true) => run_fuzz_seed_migrating_traced(seed).0,
-                (true, false) => run_fuzz_seed_traced(seed).0,
-                (false, true) => run_fuzz_seed_migrating(seed),
-                (false, false) => run_fuzz_seed(seed),
-            }
-        };
+        let (outcome, _) = family.run(seed, check_trace);
         if let Some(stats) = outcome.stats {
             active += 1;
             crashes += stats.crashes;
@@ -337,19 +333,7 @@ fn main() {
         if !outcome.is_ok() {
             failed += 1;
             eprintln!("{}", outcome.describe());
-            let flag = if openloop {
-                " --openloop".to_string()
-            } else if large {
-                " --large".to_string()
-            } else if migrate {
-                " --migrate".to_string()
-            } else if delta {
-                " --delta".to_string()
-            } else if protocol != FuzzProtocol::Mirage {
-                format!(" --protocol {}", protocol.name())
-            } else {
-                String::new()
-            };
+            let flag = family.flag();
             // The full cargo invocation, matching what the integration
             // test prints: a copy-paste replays the seed from a clean
             // checkout without hunting for the binary.

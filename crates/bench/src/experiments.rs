@@ -13,7 +13,6 @@ use mirage_baseline::{
     LiCentral,
     LiDistributed,
     MirageCost,
-    TardisCost,
 };
 use mirage_core::{
     DeltaPolicy,
@@ -653,14 +652,16 @@ pub struct BaselineRow {
 
 /// B1: identical access traces through Mirage and both Li protocols.
 ///
-/// The default report excludes the Tardis cost model so its output (and
-/// the `repro_all` golden built on it) is unchanged by the timestamp
-/// work; [`baseline_compare_with_tardis`] adds the fourth rival.
+/// The default report leaves Tardis out, so its table (and the report
+/// golden built on it) predates the timestamp protocol;
+/// [`baseline_compare_with_tardis`] adds the fourth rival.
 pub fn baseline_compare() -> Vec<BaselineRow> {
     baseline_compare_rows(false)
 }
 
-/// [`baseline_compare`] plus a [`TardisCost`] row per trace.
+/// [`baseline_compare`] plus a Tardis row per trace: the real engine
+/// under [`ProtocolConfig::tardis`], driven by the same trace adapter as
+/// the Mirage row.
 pub fn baseline_compare_with_tardis() -> Vec<BaselineRow> {
     baseline_compare_rows(true)
 }
@@ -682,7 +683,8 @@ fn baseline_compare_rows(include_tardis: bool) -> Vec<BaselineRow> {
             BaselineRow { protocol: "li-distributed", trace: name, report: dist.replay(trace) },
         ];
         if include_tardis {
-            let mut tardis = TardisCost::new(SiteId(0), 8, costs.clone());
+            let mut tardis =
+                MirageCost::new(*sites, 4, ProtocolConfig::tardis(), costs.clone());
             rows.push(BaselineRow {
                 protocol: "tardis",
                 trace: name,
@@ -969,13 +971,8 @@ pub struct DynamicRow {
 
 /// A5: the §8.0 dynamic tuning routine (disabled in the paper's
 /// prototype, implemented here) against fixed windows, on both the
-/// retention-sensitive duel and the thrash-sensitive worst case.
-pub fn dynamic_delta() -> Vec<DynamicRow> {
-    dynamic_delta_with(100_000, 30)
-}
-
-/// [`dynamic_delta`] with an explicit duel size and ping-pong horizon,
-/// for the short-horizon `repro_all --quick` mode.
+/// retention-sensitive duel (`task` decrements per process) and the
+/// thrash-sensitive worst case (`seconds` of ping-pong).
 pub fn dynamic_delta_with(task: u32, seconds: u64) -> Vec<DynamicRow> {
     let policies = [
         ("fixed Δ=0", DeltaPolicy::Uniform(Delta(0))),
@@ -1301,7 +1298,7 @@ pub fn openloop_knees(quick: bool) -> Vec<KneeRow> {
 
 /// The merged sojourn CDF of one combo at one rate, as the exact
 /// `(value, cumulative)` text rendering from [`cdf_text`](mirage_trace::LatencySet::cdf_text)
-/// — the `openloop_latency --cdf` payload.
+/// — the `repro l1-cdf` table.
 pub fn openloop_cdf(quick: bool, rate: u64) -> String {
     use mirage_trace::{
         LatencyPhase,

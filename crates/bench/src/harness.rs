@@ -56,8 +56,7 @@ pub fn jobs() -> usize {
 }
 
 /// Applies a `--jobs N` (or `--jobs=N`) flag from a binary's argument
-/// list, returning the remaining arguments. Call at the top of `main` in
-/// every sweep binary.
+/// list, returning the remaining arguments.
 pub fn parse_jobs_flag(args: impl Iterator<Item = String>) -> Vec<String> {
     let mut rest = Vec::new();
     let mut args = args.peekable();

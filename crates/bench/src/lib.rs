@@ -1,10 +1,11 @@
 //! Experiment drivers regenerating every table and figure of the paper.
 //!
-//! Each public function runs one experiment on the simulator (or the
-//! protocol engines directly) and returns structured results; the
-//! binaries in `src/bin/` print them, and `repro_all` emits the summary
+//! Each public function in [`experiments`] runs one experiment on the
+//! simulator (or the protocol engines directly) and returns structured
+//! results. The [`repro`] registry renders each of them once; the
+//! `repro <name|all>` binary prints one entry or the full summary
 //! recorded in `EXPERIMENTS.md`. See `DESIGN.md` for the per-experiment
-//! index (E1–E10, A1–A4, B1, H1).
+//! index (E1–E10, A1–A5, B1, M1–M2, S1, T1, L1, H1–H2).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +29,12 @@ pub use observability::{
     traced_storm_metrics,
 };
 pub use repro::{
+    experiment,
+    registry,
     repro_all_report,
+    Experiment,
+    Report,
     ReproParams,
+    EXTRAS,
+    REPORT,
 };
-pub use table::print_table;

@@ -1,8 +1,7 @@
-//! Minimal aligned-table printing for the repro binaries.
+//! Minimal aligned-table rendering for the experiment registry.
 
 /// Renders a markdown-style table with aligned columns, one `\n` per
-/// line. [`print_table`] prints this; `repro_all_report` collects it
-/// into the report string the golden test compares.
+/// line.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -31,18 +30,14 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Prints a markdown-style table with aligned columns.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", format_table(headers, rows));
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
-    fn print_table_does_not_panic_on_ragged_rows() {
-        super::print_table(
+    fn format_table_does_not_panic_on_ragged_rows() {
+        let out = super::format_table(
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
+        assert_eq!(out.lines().count(), 4);
     }
 }

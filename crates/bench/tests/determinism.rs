@@ -1,5 +1,5 @@
 //! Parallel-sweep determinism: every experiment must produce identical
-//! results at any worker count, and the `--quick` `repro_all` report
+//! results at any worker count, and the `repro all --quick` report
 //! must match its committed golden output byte for byte.
 //!
 //! The worker count is process-global ([`set_jobs`]), so the tests that
@@ -12,6 +12,7 @@ use mirage_bench::{
     baseline_compare,
     baseline_compare_with_tardis,
     dynamic_delta_with,
+    experiment,
     false_sharing,
     fig7,
     fig8,
@@ -100,9 +101,8 @@ fn baseline_compare_is_identical_at_any_worker_count() {
     assert_eq!(a, b);
 }
 
-/// The `--tardis` arm of the baseline comparison adds a fourth
-/// analytical row per trace; the flagged table must be as
-/// schedule-independent as the default one.
+/// The `b1-tardis` table adds a fourth row per trace, the real engine
+/// under Tardis; it must be as schedule-independent as the default one.
 #[test]
 fn baseline_compare_with_tardis_is_identical_at_any_worker_count() {
     let (a, b) = at_jobs_1_and_4(baseline_compare_with_tardis);
@@ -175,7 +175,7 @@ fn storm_metrics_merge_is_identical_at_any_worker_count() {
 /// The quick report both pins determinism across worker counts and
 /// serves as the golden output the CI smoke compares against.
 /// Regenerate with:
-/// `cargo run --release -p mirage-bench --bin repro_all -- --quick \
+/// `cargo run --release -p mirage-bench --bin repro -- all --quick \
 ///  > crates/bench/tests/golden/repro_all_quick.txt`
 #[test]
 fn repro_all_quick_matches_golden() {
@@ -187,9 +187,54 @@ fn repro_all_quick_matches_golden() {
     assert_eq!(repro_all_report(&ReproParams::quick()), golden);
 }
 
+/// Registry entries outside the report, pinned to the bytes their
+/// one-table binaries printed before the `repro` registry replaced
+/// them. Regenerate one with:
+/// `cargo run --release -p mirage-bench --bin repro -- e5b \
+///  > crates/bench/tests/golden/e5b.txt`
+fn assert_entry_matches_golden(name: &str, params: ReproParams, golden: &str) {
+    let entry = experiment(name).expect("registered experiment");
+    let report = (entry.run)(&params);
+    assert!(report.pass);
+    assert_eq!(report.text, golden, "repro {name} drifted from its golden");
+}
+
+#[test]
+fn e5b_matches_golden() {
+    assert_entry_matches_golden("e5b", ReproParams::full(), include_str!("golden/e5b.txt"));
+}
+
+#[test]
+fn e8_matches_golden() {
+    assert_entry_matches_golden("e8", ReproParams::full(), include_str!("golden/e8.txt"));
+}
+
+#[test]
+fn m2_quick_matches_golden() {
+    let golden = include_str!("golden/m2_quick.txt");
+    assert_entry_matches_golden("m2", ReproParams::quick(), golden);
+}
+
+#[test]
+fn s1_matches_golden() {
+    assert_entry_matches_golden("s1", ReproParams::full(), include_str!("golden/s1.txt"));
+}
+
+#[test]
+fn t1_quick_matches_golden() {
+    let golden = include_str!("golden/t1_quick.txt");
+    assert_entry_matches_golden("t1", ReproParams::quick(), golden);
+}
+
+#[test]
+fn l1_quick_matches_golden() {
+    let golden = include_str!("golden/l1_quick.txt");
+    assert_entry_matches_golden("l1", ReproParams::quick(), golden);
+}
+
 /// The L1 open-loop ladder, knee finder, storm overlay, and CDF dump
 /// together form the latency report; each must be byte-identical at
-/// any worker count (and the binary's output with them).
+/// any worker count (and the `repro l1` output with them).
 #[test]
 fn openloop_ladder_is_identical_at_any_worker_count() {
     let (a, b) = at_jobs_1_and_4(|| openloop_ladder(true));

@@ -2,10 +2,10 @@
 //! classification, and the handler↔kernel-thread mailbox.
 //!
 //! Everything the handler touches is async-signal-safe: atomics, the
-//! static region table, `write(2)` on a pipe, and `nanosleep(2)`.
+//! static region table, and `nanosleep(2)`. The site's kernel thread
+//! polls the mailbox; nothing wakes it.
 
 use core::sync::atomic::{
-    AtomicI32,
     AtomicU32,
     AtomicUsize,
     Ordering,
@@ -53,10 +53,6 @@ const EMPTY_SLOT: FaultSlot = FaultSlot {
 pub static MAILBOXES: [[FaultSlot; SLOTS_PER_SITE]; MAX_SITES] =
     [const { [EMPTY_SLOT; SLOTS_PER_SITE] }; MAX_SITES];
 
-/// Per-site wake pipes (write end), registered at site startup.
-/// -1 = unset.
-static PIPES: [AtomicI32; MAX_SITES] = [const { AtomicI32::new(-1) }; MAX_SITES];
-
 /// Per-site poison flags: a site whose kernel thread has exited. The
 /// handler must never park a thread against a dead kernel — no one
 /// would ever grant it — so faults on a poisoned site return
@@ -75,11 +71,6 @@ pub fn poison(site: usize) {
 /// True once [`poison`] has been called for the site slot.
 pub fn is_poisoned(site: usize) -> bool {
     POISONED[site].load(Ordering::Acquire) != 0
-}
-
-/// Registers a site's wake-pipe write end.
-pub fn set_pipe(site: usize, write_fd: i32) {
-    PIPES[site].store(write_fd, Ordering::Release);
 }
 
 /// Extracts the "access was a write" bit from the fault context.
@@ -112,7 +103,7 @@ fn fault_is_write(_ctx: *mut libc::c_void) -> bool {
 /// # Safety contract (async-signal-safety)
 ///
 /// Touches only: `siginfo` fields, the static atomics above, the static
-/// region table, and the `write`/`nanosleep` syscalls. Never allocates,
+/// region table, and the `nanosleep` syscall. Never allocates,
 /// locks, or panics on the DSM path; a fault outside every registered
 /// region reinstalls the default disposition and re-raises, so genuine
 /// crashes still crash.
@@ -162,16 +153,6 @@ extern "C" fn on_sigsegv(
     slot.addr.store(addr, Ordering::Relaxed);
     slot.write.store(u32::from(is_write), Ordering::Relaxed);
     slot.state.store(POSTED, Ordering::Release);
-    // Wake the site's kernel thread.
-    let fd = PIPES[hit.site].load(Ordering::Acquire);
-    if fd >= 0 {
-        let byte = [idx as u8];
-        // SAFETY: write(2) on a pipe fd is async-signal-safe; partial or
-        // failed writes are tolerated (the kernel thread also polls).
-        unsafe {
-            let _ = libc::write(fd, byte.as_ptr().cast(), 1);
-        }
-    }
     // Sleep until granted ("the faulting process awaits the library's
     // request processing by sleeping", §6.1). A kernel that dies while
     // we sleep poisons the site instead of granting; bail out so the

@@ -17,7 +17,6 @@ pub use core::ffi::{
 
 pub type off_t = i64;
 pub type size_t = usize;
-pub type ssize_t = isize;
 pub type pid_t = i32;
 
 /// glibc `sigset_t`: 1024 bits.
@@ -117,7 +116,6 @@ extern "C" {
     pub fn sigaction(signum: c_int, act: *const sigaction, oldact: *mut sigaction) -> c_int;
     pub fn sigemptyset(set: *mut sigset_t) -> c_int;
     pub fn raise(sig: c_int) -> c_int;
-    pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     pub fn nanosleep(req: *const timespec, rem: *mut timespec) -> c_int;
 
     pub fn fork() -> pid_t;

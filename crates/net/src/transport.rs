@@ -809,8 +809,18 @@ mod tests {
         t0a.send(SiteId(1), b"old-2");
         t0b.send(SiteId(1), b"new-2");
         assert_eq!(expect_frame(&mut t1, 5).payload, b"new-2".to_vec());
+        // `old-2` travels on its own connection, so it may be counted
+        // only after `new-2` is delivered: keep receiving (nothing more
+        // may be delivered) until the stale frame is dropped.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while t1.stats().rx_stale == 0 && Instant::now() < deadline {
+            match t1.recv_timeout(Duration::from_millis(50)) {
+                TransportEvent::Timeout => {}
+                other => panic!("nothing but the stale frame may arrive, got {other:?}"),
+            }
+        }
         let stats = t1.stats();
-        assert_eq!(stats.rx_stale, 1, "stale-incarnation frame dropped");
+        assert_eq!(stats.rx_stale, 1, "stale-incarnation frame dropped: {stats:?}");
     }
 
     #[test]
