@@ -1,65 +1,45 @@
 //! Fault-storm fuzzer: thousands of randomized fault schedules against
-//! the coherence protocol with timeout/retry enabled.
+//! the coherence protocols with timeout/retry enabled.
 //!
-//! Each seed deterministically generates a world (2–4 sites, 1–2
-//! pages, 1–2 processes per site), a workload, and a fault plan
-//! (drop/duplicate/delay rates, site crash/restart times) via
-//! `mirage_sim::run_fuzz_seed`; the run must complete, satisfy the
-//! structural coherence invariants, and show every process's last
-//! write in the surviving copy.
+//! Each seed deterministically generates a world, a workload, and a
+//! fault plan (drop/duplicate/delay rates, site crash/restart times);
+//! the run must complete, satisfy the structural coherence invariants,
+//! and show every writer's last write in the authoritative copy. One
+//! flag picks the family (`mirage_sim::FuzzFamily`, or the open-loop
+//! family of `mirage-workloads`):
+//!
+//! | flag                    | family                                                  |
+//! |-------------------------|---------------------------------------------------------|
+//! | (none)                  | classic: 2–4 sites, 1–2 pages, 1–2 processes per site   |
+//! | `--protocol li\|tardis` | the classic seeds under a rival protocol (`mirage` = none) |
+//! | `--migrate`             | classic plus 1–3 seeded library handoffs                |
+//! | `--delta`               | classic with sub-page delta grants on                   |
+//! | `--large`               | 65–160 sites, sharded library, shard-aware handoffs     |
+//! | `--sites N`             | the large generator at exactly N sites (`--large` optional) |
+//! | `--matrix`              | classic under all three protocols, page bytes diffed    |
+//! | `--openloop`            | seeded open-loop arrival schedules, Mirage only         |
+//!
+//! Two different family flags are rejected with exit 2 and the usage
+//! line, as is a missing or unparsable value. `--protocol`, `--migrate`,
+//! `--delta`, and `--matrix` draw nothing from the classic seed's PRNG
+//! stream, so each replays the classic seed's world, workload, and
+//! fault plan exactly.
 //!
 //! ```text
 //! fault_storm                  # sweep seeds 0..1000
 //! fault_storm --seeds 5000     # wider sweep
 //! fault_storm --start 1000     # shifted seed range
-//! fault_storm --check-trace    # sweep with the causal trace oracle too
-//! fault_storm --migrate        # layer a seeded library-handoff schedule
-//! fault_storm --delta          # same seeds with sub-page delta grants on
-//! fault_storm --protocol li    # same seeds under a rival protocol
-//! fault_storm --matrix         # every seed under all three protocols
+//! fault_storm --check-trace    # sweep with both trace oracles too
 //! fault_storm --seed 42        # one seed, verbose outcome
 //! fault_storm --seed 42 --trace# same, narrating every fault decision
 //! ```
-//!
-//! `--migrate` draws 1–3 manual library migrations from a separate PRNG
-//! stream (the world shape, workload, and fault plan are unchanged) and
-//! runs them under the same drop/dup/delay/crash schedule, so role
-//! handoffs race messages losses and site crashes.
-//!
-//! `--delta` replays the classic seeds with `delta_grants` enabled: the
-//! world, workload, and fault plan are bit-identical to the plain run
-//! (the flag is set after every PRNG draw), so any divergence in the
-//! oracles is attributable to the diff-based wire form alone.
-//!
-//! `--protocol {mirage,li,tardis}` replays the classic seeds under the
-//! named coherence protocol. The selector is applied after every PRNG
-//! draw, so each seed's world, workload, and fault plan are
-//! bit-identical across protocols — only the protocol logic differs.
-//! `--matrix` runs each seed under all three and additionally asserts
-//! that the authoritative page bytes at quiescence agree.
-//!
-//! `--openloop` switches to the open-loop family: seeded arrival
-//! schedules (Poisson, deterministic, MMPP per station) inject page
-//! demands at fixed sim-times regardless of service progress, so fault
-//! storms land on real queue backlogs. Mirage-only: with Δ pinned ≥ 1
-//! the granted access always completes before the page leaves, while
-//! Li–Hudak (Δ=0 by definition) and Tardis livelock under sustained
-//! open-loop overload — the §7.2 starvation rotation Mirage's window
-//! exists to break (see DESIGN.md, "Open-loop traffic").
-//!
-//! `--large` switches to the planet-scale generator: 65–160 sites
-//! (chunked site sets, paged circuit table), a sharded library
-//! (`shard_pages` 1–3), and a shard-aware handoff schedule — the same
-//! fault plan shape at ~25× the site count. `--sites N` pins the world
-//! to exactly N sites (implies `--large`); use `--sites 1024` for the
-//! CI smoke world.
 //!
 //! Single-seed observability flags (each implies a traced run; tracing
 //! never changes the simulated execution):
 //!
 //! ```text
 //! --metrics                    # print the protocol metrics registry
-//! --check-trace                # run the offline trace checker
+//! --check-trace                # run the offline trace oracles
 //! --export-chrome PATH         # write a Chrome trace-event JSON file
 //! --export-jsonl PATH          # write the raw event trace as JSONL
 //! ```
@@ -69,20 +49,11 @@
 //! with a single copy-paste.
 
 use std::io::Write;
+use std::str::FromStr;
 
 use mirage_sim::{
-    run_fuzz_seed,
-    run_fuzz_seed_delta,
-    run_fuzz_seed_delta_traced,
-    run_fuzz_seed_large,
-    run_fuzz_seed_large_traced,
-    run_fuzz_seed_matrix,
-    run_fuzz_seed_migrating,
-    run_fuzz_seed_migrating_traced,
-    run_fuzz_seed_protocol,
-    run_fuzz_seed_protocol_traced,
-    run_fuzz_seed_sized_traced,
-    run_fuzz_seed_traced,
+    replay_command,
+    FuzzFamily,
     FuzzOutcome,
     FuzzProtocol,
 };
@@ -92,264 +63,226 @@ use mirage_trace::{
     from_trace,
     TraceEvent,
 };
-use mirage_workloads::{
-    run_fuzz_seed_openloop,
-    run_fuzz_seed_openloop_traced,
-};
+use mirage_workloads::run_fuzz_seed_openloop;
 
-/// The seed generator a run uses, resolved once from the flags.
-#[derive(Clone, Copy)]
-enum Family {
-    Classic,
-    Migrate,
-    Delta,
-    Protocol(FuzzProtocol),
-    Large,
-    /// `--sites N` with `--seed`: one world of exactly N sites.
-    Sized(usize),
+const USAGE: &str = "usage: fault_storm [--seeds N] [--start S] [--check-trace] \
+     [--migrate | --delta | --openloop | --large [--sites N] | \
+     --protocol {mirage,li,tardis} | --matrix] [--seed S [--trace] \
+     [--metrics] [--check-trace] [--export-chrome PATH] \
+     [--export-jsonl PATH]]";
+
+/// The scenario family a command line selects.
+#[derive(Clone, Copy, PartialEq)]
+enum Storm {
+    Sim(FuzzFamily),
     OpenLoop,
 }
 
-impl Family {
-    /// Runs one seed. A traced run also returns its events; the sized
-    /// family always runs traced.
-    fn run(self, seed: u64, traced: bool) -> (FuzzOutcome, Vec<TraceEvent>) {
-        let plain = |outcome| (outcome, Vec::new());
-        match (self, traced) {
-            (Family::Classic, true) => run_fuzz_seed_traced(seed),
-            (Family::Classic, false) => plain(run_fuzz_seed(seed)),
-            (Family::Migrate, true) => run_fuzz_seed_migrating_traced(seed),
-            (Family::Migrate, false) => plain(run_fuzz_seed_migrating(seed)),
-            (Family::Delta, true) => run_fuzz_seed_delta_traced(seed),
-            (Family::Delta, false) => plain(run_fuzz_seed_delta(seed)),
-            (Family::Protocol(p), true) => run_fuzz_seed_protocol_traced(seed, p),
-            (Family::Protocol(p), false) => plain(run_fuzz_seed_protocol(seed, p)),
-            (Family::Large, true) => run_fuzz_seed_large_traced(seed),
-            (Family::Large, false) => plain(run_fuzz_seed_large(seed)),
-            (Family::Sized(n), _) => run_fuzz_seed_sized_traced(seed, n),
-            (Family::OpenLoop, true) => run_fuzz_seed_openloop_traced(seed),
-            (Family::OpenLoop, false) => plain(run_fuzz_seed_openloop(seed)),
+impl Storm {
+    fn run(self, seed: u64, traced: bool) -> Vec<(FuzzOutcome, Vec<TraceEvent>)> {
+        match self {
+            Storm::Sim(family) => family.run(seed, traced),
+            Storm::OpenLoop => vec![run_fuzz_seed_openloop(seed, traced)],
         }
     }
 
-    /// The flag that selects this family in a replay command.
-    fn flag(self) -> String {
+    fn replay(self, seed: u64) -> String {
         match self {
-            Family::Classic => String::new(),
-            Family::Migrate => " --migrate".into(),
-            Family::Delta => " --delta".into(),
-            Family::Protocol(p) => format!(" --protocol {}", p.name()),
-            Family::Large => " --large".into(),
-            Family::Sized(n) => format!(" --sites {n}"),
-            Family::OpenLoop => " --openloop".into(),
+            Storm::Sim(family) => family.replay(seed),
+            Storm::OpenLoop => replay_command(seed, " --openloop --trace"),
+        }
+    }
+
+    /// Combines two family flags: equal ones agree, `--large` and
+    /// `--sites N` agree on the pinned size, anything else conflicts.
+    fn merge(prev: Option<Storm>, next: Storm) -> Option<Storm> {
+        use FuzzFamily::Large;
+        match (prev, next) {
+            (None, s) => Some(s),
+            (Some(a), b) if a == b => Some(a),
+            (Some(Storm::Sim(Large(None))), s @ Storm::Sim(Large(Some(_))))
+            | (Some(s @ Storm::Sim(Large(Some(_)))), Storm::Sim(Large(None))) => Some(s),
+            _ => None,
         }
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: u64 = 1000;
-    let mut start: u64 = 0;
-    let mut single: Option<u64> = None;
-    let mut trace = false;
-    let mut metrics = false;
-    let mut check_trace = false;
-    let mut migrate = false;
-    let mut delta = false;
-    let mut large = false;
-    let mut openloop = false;
-    let mut protocol = FuzzProtocol::Mirage;
-    let mut matrix = false;
-    let mut sites: Option<usize> = None;
-    let mut export_chrome: Option<String> = None;
-    let mut export_jsonl: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                seeds = args[i].parse().expect("--seeds takes a count");
-            }
-            "--start" => {
-                i += 1;
-                start = args[i].parse().expect("--start takes a seed");
-            }
-            "--seed" => {
-                i += 1;
-                single = Some(args[i].parse().expect("--seed takes a seed"));
-            }
-            "--trace" => trace = true,
-            "--metrics" => metrics = true,
-            "--check-trace" => check_trace = true,
-            "--migrate" => migrate = true,
-            "--delta" => delta = true,
-            "--large" => large = true,
-            "--openloop" => openloop = true,
-            "--protocol" => {
-                i += 1;
-                let name = args.get(i).expect("--protocol takes mirage|li|tardis");
-                protocol = FuzzProtocol::from_name(name).unwrap_or_else(|| {
-                    eprintln!("unknown protocol: {name} (expected mirage, li, or tardis)");
-                    std::process::exit(2);
-                });
-            }
-            "--matrix" => matrix = true,
-            "--sites" => {
-                i += 1;
-                sites = Some(args[i].parse().expect("--sites takes a site count"));
-                large = true;
-            }
-            "--export-chrome" => {
-                i += 1;
-                export_chrome =
-                    Some(args.get(i).expect("--export-chrome takes a path").clone());
-            }
-            "--export-jsonl" => {
-                i += 1;
-                export_jsonl = Some(args.get(i).expect("--export-jsonl takes a path").clone());
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: fault_storm [--seeds N] [--start S] [--check-trace] \
-                     [--migrate | --delta | --openloop | --large [--sites N] | \
-                     --protocol {{mirage,li,tardis}} | --matrix] [--seed S [--trace] \
-                     [--metrics] [--check-trace] [--export-chrome PATH] \
-                     [--export-jsonl PATH]]"
-                );
-                std::process::exit(2);
+struct Cli {
+    seeds: u64,
+    start: u64,
+    single: Option<u64>,
+    trace: bool,
+    metrics: bool,
+    check_trace: bool,
+    storm: Storm,
+    export_chrome: Option<String>,
+    export_jsonl: Option<String>,
+}
+
+/// Prints `msg` and the usage line to stderr and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Cli {
+    let mut cli = Cli {
+        seeds: 1000,
+        start: 0,
+        single: None,
+        trace: false,
+        metrics: false,
+        check_trace: false,
+        storm: Storm::Sim(FuzzFamily::Classic(FuzzProtocol::Mirage)),
+        export_chrome: None,
+        export_jsonl: None,
+    };
+    let mut storm: Option<Storm> = None;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| -> String {
+            args.next().unwrap_or_else(|| usage(&format!("{arg} takes {what}")))
+        };
+        let number = |s: String| -> u64 {
+            u64::from_str(&s).unwrap_or_else(|_| usage(&format!("{arg}: not a number: {s}")))
+        };
+        match arg.as_str() {
+            "--seeds" => cli.seeds = number(value("a count")),
+            "--start" => cli.start = number(value("a seed")),
+            "--seed" => cli.single = Some(number(value("a seed"))),
+            "--trace" => cli.trace = true,
+            "--metrics" => cli.metrics = true,
+            "--check-trace" => cli.check_trace = true,
+            "--export-chrome" => cli.export_chrome = Some(value("a path")),
+            "--export-jsonl" => cli.export_jsonl = Some(value("a path")),
+            _ => {
+                let family = match arg.as_str() {
+                    "--migrate" => Storm::Sim(FuzzFamily::Migrate),
+                    "--delta" => Storm::Sim(FuzzFamily::Delta),
+                    "--large" => Storm::Sim(FuzzFamily::Large(None)),
+                    "--matrix" => Storm::Sim(FuzzFamily::Matrix),
+                    "--openloop" => Storm::OpenLoop,
+                    "--sites" => {
+                        let n = number(value("a site count")) as usize;
+                        Storm::Sim(FuzzFamily::Large(Some(n)))
+                    }
+                    "--protocol" => {
+                        let name = value("mirage|li|tardis");
+                        let p = FuzzProtocol::from_name(&name).unwrap_or_else(|| {
+                            usage(&format!(
+                                "unknown protocol: {name} (expected mirage, li, or tardis)"
+                            ))
+                        });
+                        Storm::Sim(FuzzFamily::Classic(p))
+                    }
+                    other => usage(&format!("unknown argument: {other}")),
+                };
+                storm = Storm::merge(storm, family)
+                    .or_else(|| usage(&format!("{arg} conflicts with an earlier family flag")));
             }
         }
-        i += 1;
     }
-    if trace {
+    cli.storm = storm.unwrap_or(cli.storm);
+    cli
+}
+
+fn main() {
+    let cli = parse(std::env::args().skip(1));
+    if cli.trace {
         // The fault layer narrates to stderr when this is set; the env
         // var (rather than a parameter) keeps the replay identical to
         // what the integration test prints.
         std::env::set_var("MIRAGE_FAULT_TRACE", "1");
     }
-    let want_trace =
-        check_trace || metrics || export_chrome.is_some() || export_jsonl.is_some();
+    let want_trace = cli.check_trace
+        || cli.metrics
+        || cli.export_chrome.is_some()
+        || cli.export_jsonl.is_some();
 
-    if matrix {
-        if let Some(seed) = single {
-            let mut ok = true;
-            for outcome in run_fuzz_seed_matrix(seed) {
-                println!("{}", outcome.describe());
-                ok &= outcome.is_ok();
-            }
-            std::process::exit(if ok { 0 } else { 1 });
+    if let Some(seed) = cli.single {
+        let runs = cli.storm.run(seed, want_trace);
+        for (outcome, _) in &runs {
+            println!("{}", outcome.describe());
         }
-        let mut failed = 0u64;
-        for seed in start..start + seeds {
-            for outcome in run_fuzz_seed_matrix(seed) {
-                if !outcome.is_ok() {
-                    failed += 1;
-                    eprintln!("{}", outcome.describe());
-                    eprintln!(
-                        "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                         --seed {seed} --matrix"
-                    );
-                }
-            }
-            if (seed - start + 1).is_multiple_of(200) {
-                println!("… {}/{} seeds, {} failed", seed - start + 1, seeds, failed);
-            }
+        if let [(outcome, events)] = runs.as_slice() {
+            report_single(&cli, outcome, events, want_trace);
         }
-        println!("fault_storm: {seeds} matrix seeds × 3 protocols, {failed} failures");
-        std::process::exit(if failed > 0 { 1 } else { 0 });
+        std::process::exit(if runs.iter().all(|(o, _)| o.is_ok()) { 0 } else { 1 });
     }
 
-    // A pinned site count only shapes a single seed; a sweep runs the
-    // planet-scale generator.
-    let family = match (sites, single) {
-        (Some(n), Some(_)) => Family::Sized(n),
-        _ if openloop => Family::OpenLoop,
-        _ if large => Family::Large,
-        _ if delta => Family::Delta,
-        _ if protocol != FuzzProtocol::Mirage => Family::Protocol(protocol),
-        _ if migrate => Family::Migrate,
-        _ => Family::Classic,
-    };
-
-    if let Some(seed) = single {
-        let (outcome, events) = family.run(seed, want_trace);
-        println!("{}", outcome.describe());
-        if let Some(stats) = outcome.stats {
-            println!(
-                "faults: dropped {} dup-injected {} dup-discarded {} delayed {} \
-                 held {} gaps-declared {} stale {} crashes {} restarts {}",
-                stats.dropped,
-                stats.duplicated,
-                stats.dup_discarded,
-                stats.delayed,
-                stats.held_back,
-                stats.gaps_declared,
-                stats.stale_dropped,
-                stats.crashes,
-                stats.restarts
-            );
-        } else {
-            println!("faults: plan inactive for this seed");
-        }
-        if want_trace {
-            println!("trace: {} events", events.len());
-        }
-        if check_trace {
-            // The checker already ran inside the traced scenario and
-            // merged any violations into the outcome above; confirm.
-            println!("trace checker: {}", if outcome.is_ok() { "ok" } else { "VIOLATIONS" });
-        }
-        if metrics {
-            print!("{}", from_trace(&events).render());
-        }
-        if let Some(path) = export_jsonl {
-            let mut f = std::fs::File::create(&path).expect("create jsonl export");
-            for ev in &events {
-                writeln!(f, "{}", event_to_json(ev)).expect("write jsonl export");
-            }
-            println!("wrote {} JSONL events to {path}", events.len());
-        }
-        if let Some(path) = export_chrome {
-            let json = chrome::export(&events);
-            chrome::validate(&json).expect("exported Chrome trace must validate");
-            std::fs::write(&path, &json).expect("write chrome export");
-            println!("wrote Chrome trace ({} bytes) to {path}", json.len());
-        }
-        std::process::exit(if outcome.is_ok() { 0 } else { 1 });
-    }
-
-    let mut failed = 0u64;
-    let mut active = 0u64;
-    let mut crashes = 0u64;
-    let mut dropped = 0u64;
+    let (seeds, start) = (cli.seeds, cli.start);
+    let (mut failed, mut active, mut crashes, mut dropped) = (0u64, 0u64, 0u64, 0u64);
     for seed in start..start + seeds {
-        let (outcome, _) = family.run(seed, check_trace);
-        if let Some(stats) = outcome.stats {
-            active += 1;
-            crashes += stats.crashes;
-            dropped += stats.dropped;
-        }
-        if !outcome.is_ok() {
-            failed += 1;
-            eprintln!("{}", outcome.describe());
-            let flag = family.flag();
-            // The full cargo invocation, matching what the integration
-            // test prints: a copy-paste replays the seed from a clean
-            // checkout without hunting for the binary.
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed}{flag} --trace"
-            );
+        for (outcome, _) in cli.storm.run(seed, cli.check_trace) {
+            if let Some(stats) = outcome.stats {
+                active += 1;
+                crashes += stats.crashes;
+                dropped += stats.dropped;
+            }
+            if !outcome.is_ok() {
+                failed += 1;
+                eprintln!("{}", outcome.describe());
+                eprintln!("{}", cli.storm.replay(seed));
+            }
         }
         if (seed - start + 1).is_multiple_of(200) {
             println!("… {}/{} seeds, {} failed", seed - start + 1, seeds, failed);
         }
     }
-    println!(
-        "fault_storm: {} seeds ({} with active plans), {} messages dropped, \
-         {} crashes injected, {} failures",
-        seeds, active, dropped, crashes, failed
-    );
+    if cli.storm == Storm::Sim(FuzzFamily::Matrix) {
+        println!("fault_storm: {seeds} matrix seeds × 3 protocols, {failed} failures");
+    } else {
+        println!(
+            "fault_storm: {seeds} seeds ({active} with active plans), {dropped} messages \
+             dropped, {crashes} crashes injected, {failed} failures"
+        );
+    }
     std::process::exit(if failed > 0 { 1 } else { 0 });
+}
+
+/// The verbose single-seed report after the outcome line: fault
+/// counters, then whatever the observability flags asked for.
+fn report_single(cli: &Cli, outcome: &FuzzOutcome, events: &[TraceEvent], want_trace: bool) {
+    if let Some(stats) = outcome.stats {
+        println!(
+            "faults: dropped {} dup-injected {} dup-discarded {} delayed {} \
+             held {} gaps-declared {} stale {} crashes {} restarts {}",
+            stats.dropped,
+            stats.duplicated,
+            stats.dup_discarded,
+            stats.delayed,
+            stats.held_back,
+            stats.gaps_declared,
+            stats.stale_dropped,
+            stats.crashes,
+            stats.restarts
+        );
+    } else {
+        println!("faults: plan inactive for this seed");
+    }
+    if want_trace {
+        println!("trace: {} events", events.len());
+    }
+    if cli.check_trace {
+        // The oracles already ran inside the traced scenario and merged
+        // any violations into the outcome above; confirm.
+        println!("trace checker: {}", if outcome.is_ok() { "ok" } else { "VIOLATIONS" });
+    }
+    if cli.metrics {
+        print!("{}", from_trace(events).render());
+    }
+    if let Some(path) = &cli.export_jsonl {
+        let mut f = std::fs::File::create(path).expect("create jsonl export");
+        for ev in events {
+            writeln!(f, "{}", event_to_json(ev)).expect("write jsonl export");
+        }
+        println!("wrote {} JSONL events to {path}", events.len());
+    }
+    if let Some(path) = &cli.export_chrome {
+        let json = chrome::export(events);
+        chrome::validate(&json).expect("exported Chrome trace must validate");
+        std::fs::write(path, &json).expect("write chrome export");
+        println!("wrote Chrome trace ({} bytes) to {path}", json.len());
+    }
 }

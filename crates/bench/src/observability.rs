@@ -14,7 +14,8 @@ use mirage_core::{
     ProtocolConfig,
 };
 use mirage_sim::{
-    run_fuzz_seed_traced,
+    run_fuzz_seed_protocol_traced,
+    FuzzProtocol,
     SimConfig,
     World,
 };
@@ -56,7 +57,7 @@ pub fn traced_pingpong_metrics(delta: u32, seconds: u64) -> Registry {
 /// metrics from an incoherent run would be lies.
 pub fn traced_storm_metrics(seeds: &[u64]) -> Registry {
     let shards = par_map(seeds, |&seed| {
-        let (outcome, trace) = run_fuzz_seed_traced(seed);
+        let (outcome, trace) = run_fuzz_seed_protocol_traced(seed, FuzzProtocol::Mirage);
         assert!(outcome.is_ok(), "{}", outcome.describe());
         from_trace(&trace)
     });

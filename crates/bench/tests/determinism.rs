@@ -232,6 +232,38 @@ fn l1_quick_matches_golden() {
     assert_entry_matches_golden("l1", ReproParams::quick(), golden);
 }
 
+/// The remaining extras, pinned to the bytes `repro` printed for them
+/// before the fuzz harness was folded into one family type.
+#[test]
+fn e6_kinds_matches_golden() {
+    let golden = include_str!("golden/e6_kinds.txt");
+    assert_entry_matches_golden("e6-kinds", ReproParams::full(), golden);
+}
+
+#[test]
+fn e9_yield_quick_matches_golden() {
+    let golden = include_str!("golden/e9_yield_quick.txt");
+    assert_entry_matches_golden("e9-yield", ReproParams::quick(), golden);
+}
+
+#[test]
+fn a4_large_quick_matches_golden() {
+    let golden = include_str!("golden/a4_large_quick.txt");
+    assert_entry_matches_golden("a4-large", ReproParams::quick(), golden);
+}
+
+#[test]
+fn b1_tardis_matches_golden() {
+    let golden = include_str!("golden/b1_tardis.txt");
+    assert_entry_matches_golden("b1-tardis", ReproParams::full(), golden);
+}
+
+#[test]
+fn l1_cdf_quick_matches_golden() {
+    let golden = include_str!("golden/l1_cdf_quick.txt");
+    assert_entry_matches_golden("l1-cdf", ReproParams::quick(), golden);
+}
+
 /// The L1 open-loop ladder, knee finder, storm overlay, and CDF dump
 /// together form the latency report; each must be byte-identical at
 /// any worker count (and the `repro l1` output with them).

@@ -18,6 +18,7 @@
 //! against the opened pages), so cluster teardown can never deadlock on
 //! a dead site's grant.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{
@@ -56,6 +57,7 @@ use mirage_trace::{
     RefLog,
     Registry,
     TraceEvent,
+    TraceKind,
 };
 use mirage_types::{
     Access,
@@ -131,43 +133,94 @@ pub struct KernelCtx {
     pub region_slots: Arc<Mutex<Vec<usize>>>,
 }
 
-/// A pending engine timer (earliest-first in the heap).
-struct TimerEnt(SimTime, u64);
-impl PartialEq for TimerEnt {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1
+/// The kernel's own event counters. Each is a slot in [`Counters`];
+/// its registry name is built only when metrics are requested.
+#[derive(Clone, Copy)]
+enum Counter {
+    SendMsgs,
+    DeliverMsgs,
+    TimerFired,
+    FaultRead,
+    FaultWrite,
+    MigrateIssued,
+    DecodeError,
+}
+
+impl Counter {
+    const ALL: [Counter; 7] = [
+        Counter::SendMsgs,
+        Counter::DeliverMsgs,
+        Counter::TimerFired,
+        Counter::FaultRead,
+        Counter::FaultWrite,
+        Counter::MigrateIssued,
+        Counter::DecodeError,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Counter::SendMsgs => "send.msgs",
+            Counter::DeliverMsgs => "deliver.msgs",
+            Counter::TimerFired => "timer.fired",
+            Counter::FaultRead => "fault.read",
+            Counter::FaultWrite => "fault.write",
+            Counter::MigrateIssued => "migrate.issued",
+            Counter::DecodeError => "wire.decode_error",
+        }
     }
 }
-impl Eq for TimerEnt {}
-impl PartialOrd for TimerEnt {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Fixed counter arrays: a send, delivery, timer, or trace event bumps
+/// one slot and allocates nothing.
+struct Counters {
+    kernel: [u64; Counter::ALL.len()],
+    /// Trace events per kind (`proto.<Kind>`), with the kind kept for
+    /// its name.
+    proto: [Option<(TraceKind, u64)>; TraceKind::COUNT],
 }
-impl Ord for TimerEnt {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        (other.0, other.1).cmp(&(self.0, self.1))
+
+impl Counters {
+    fn new() -> Self {
+        Self { kernel: [0; Counter::ALL.len()], proto: [None; TraceKind::COUNT] }
+    }
+
+    fn bump(&mut self, c: Counter) {
+        self.kernel[c as usize] += 1;
+    }
+
+    /// The counters as a registry, each name under `prefix`; counters
+    /// never bumped are left out, as a string-keyed registry would.
+    fn registry(&self, prefix: &str) -> Registry {
+        let mut reg = Registry::new();
+        for c in Counter::ALL {
+            let n = self.kernel[c as usize];
+            if n > 0 {
+                reg.add(&format!("{prefix}{}", c.name()), n);
+            }
+        }
+        for (kind, n) in self.proto.iter().flatten() {
+            reg.add(&format!("{prefix}proto.{kind:?}"), *n);
+        }
+        reg
     }
 }
 
 /// [`DriverOps`] receiver for a kernel: sends become frames on the
 /// transport, wakes flip the faulting thread's mailbox slot, timers
 /// join the local heap, log records land in the site's reference log,
-/// and trace events tick the per-kind metrics counters.
+/// and trace events tick the per-kind counters.
 struct KernelOps<'a> {
     slot: usize,
-    timers: &'a mut BinaryHeap<TimerEnt>,
+    timers: &'a mut BinaryHeap<Reverse<(SimTime, u64)>>,
     transport: &'a mut dyn SequencedTransport,
     ref_log: &'a mut RefLog,
-    metrics: &'a mut Registry,
-    prefix: &'a str,
+    counters: &'a mut Counters,
 }
 
 impl DriverOps for KernelOps<'_> {
     fn send(&mut self, to: SiteId, msg: ProtoMsg) {
         let bytes = to_bytes(&msg);
-        self.metrics.add(&format!("{}send.msgs", self.prefix), 1);
+        self.counters.bump(Counter::SendMsgs);
         self.transport.send(to, &bytes);
     }
 
@@ -184,7 +237,7 @@ impl DriverOps for KernelOps<'_> {
     }
 
     fn set_timer(&mut self, at: SimTime, token: u64) {
-        self.timers.push(TimerEnt(at, token));
+        self.timers.push(Reverse((at, token)));
     }
 
     fn log(&mut self, e: RefLogEntry) {
@@ -198,7 +251,37 @@ impl DriverOps for KernelOps<'_> {
     }
 
     fn trace(&mut self, ev: TraceEvent) {
-        self.metrics.add(&format!("{}proto.{:?}", self.prefix, ev.kind), 1);
+        self.counters.proto[ev.kind as usize].get_or_insert((ev.kind, 0)).1 += 1;
+    }
+}
+
+/// One site's kernel state: the engine and everything its
+/// [`KernelOps`] lends out while it runs.
+struct Kernel {
+    slot: usize,
+    driver: ProtocolDriver,
+    store: HostStore,
+    /// Pending engine timers, earliest first.
+    timers: BinaryHeap<Reverse<(SimTime, u64)>>,
+    transport: Box<dyn SequencedTransport>,
+    ref_log: RefLog,
+    counters: Counters,
+}
+
+impl Kernel {
+    fn drive(&mut self, ev: Event, now: SimTime) {
+        self.driver.drive(
+            ev,
+            now,
+            &mut self.store,
+            &mut KernelOps {
+                slot: self.slot,
+                timers: &mut self.timers,
+                transport: self.transport.as_mut(),
+                ref_log: &mut self.ref_log,
+                counters: &mut self.counters,
+            },
+        );
     }
 }
 
@@ -207,38 +290,33 @@ impl DriverOps for KernelOps<'_> {
 /// opened, slots granted) so parked application threads always resume.
 pub fn kernel_main(
     ctx: KernelCtx,
-    mut transport: Box<dyn SequencedTransport>,
+    transport: Box<dyn SequencedTransport>,
     cmds: Receiver<Command>,
 ) {
     let KernelCtx { site, slot, config, epoch, region_slots } = ctx;
     debug_assert_eq!(transport.site(), site);
     let prefix = format!("s{}.", site.0);
-    let mut driver = ProtocolDriver::from_config(site, config);
-    let mut store = HostStore::new();
-    let mut timers: BinaryHeap<TimerEnt> = BinaryHeap::new();
-    let mut ref_log = RefLog::new();
-    let mut metrics = Registry::new();
+    let mut k = Kernel {
+        slot,
+        driver: ProtocolDriver::from_config(site, config),
+        store: HostStore::new(),
+        timers: BinaryHeap::new(),
+        transport,
+        ref_log: RefLog::new(),
+        counters: Counters::new(),
+    };
     let now = || SimTime(epoch.elapsed().as_nanos() as u64);
 
     'main: loop {
         // Fire due timers.
         let t_now = now();
-        while timers.peek().map(|t| t.0 <= t_now).unwrap_or(false) {
-            let TimerEnt(_, token) = timers.pop().expect("peeked");
-            metrics.add(&format!("{prefix}timer.fired"), 1);
-            driver.drive(
-                Event::Timer { token },
-                t_now,
-                &mut store,
-                &mut KernelOps {
-                    slot,
-                    timers: &mut timers,
-                    transport: transport.as_mut(),
-                    ref_log: &mut ref_log,
-                    metrics: &mut metrics,
-                    prefix: &prefix,
-                },
-            );
+        while let Some(&Reverse((at, token))) = k.timers.peek() {
+            if at > t_now {
+                break;
+            }
+            k.timers.pop();
+            k.counters.bump(Counter::TimerFired);
+            k.drive(Event::Timer { token }, t_now);
         }
         // Service posted faults.
         #[allow(clippy::needless_range_loop)] // `slot` is the site row, not the loop index.
@@ -263,87 +341,63 @@ pub fn kernel_main(
             // Typed fault: the x86-64 error-code bit; on other
             // architectures infer from the current protection (a fault
             // on a readable page must be a write).
-            let access = if hw_write || store.prot(hit.seg, page) == PageProt::Read {
+            let access = if hw_write || k.store.prot(hit.seg, page) == PageProt::Read {
                 Access::Write
             } else {
                 Access::Read
             };
-            metrics.add(
-                &format!(
-                    "{prefix}fault.{}",
-                    if access == Access::Write { "write" } else { "read" }
-                ),
-                1,
-            );
+            k.counters.bump(if access == Access::Write {
+                Counter::FaultWrite
+            } else {
+                Counter::FaultRead
+            });
             let pid = Pid::new(site, (slot_idx + 1) as u32);
-            let t = now();
-            driver.drive(
-                Event::Fault { pid, seg: hit.seg, page, access },
-                t,
-                &mut store,
-                &mut KernelOps {
-                    slot,
-                    timers: &mut timers,
-                    transport: transport.as_mut(),
-                    ref_log: &mut ref_log,
-                    metrics: &mut metrics,
-                    prefix: &prefix,
-                },
-            );
+            k.drive(Event::Fault { pid, seg: hit.seg, page, access }, now());
         }
         // Apply host commands.
         loop {
             match cmds.try_recv() {
                 Ok(Command::CreateSegment { seg, pages, resident, ack }) => {
-                    store.add_segment(seg, pages, resident);
-                    driver.register_segment(seg, pages);
-                    let base = store.mapping(seg).expect("just added").user_base() as usize;
+                    k.store.add_segment(seg, pages, resident);
+                    k.driver.register_segment(seg, pages);
+                    let base = k.store.mapping(seg).expect("just added").user_base() as usize;
                     let rslot = region::register(base, pages * STRIDE, slot, seg);
                     region_slots.lock().unwrap().push(rslot);
                     let _ = ack.send(base);
                 }
                 Ok(Command::Migrate { seg, to, shard }) => {
-                    metrics.add(&format!("{prefix}migrate.issued"), 1);
-                    let t = now();
-                    driver.drive(
-                        Event::MigrateLibrary { seg, to, shard },
-                        t,
-                        &mut store,
-                        &mut KernelOps {
-                            slot,
-                            timers: &mut timers,
-                            transport: transport.as_mut(),
-                            ref_log: &mut ref_log,
-                            metrics: &mut metrics,
-                            prefix: &prefix,
-                        },
-                    );
+                    k.counters.bump(Counter::MigrateIssued);
+                    k.drive(Event::MigrateLibrary { seg, to, shard }, now());
                 }
                 Ok(Command::RefLog(ack)) => {
-                    let _ = ack.send(ref_log.clone());
+                    let _ = ack.send(k.ref_log.clone());
                 }
                 Ok(Command::Metrics(ack)) => {
-                    let mut reg = metrics.clone();
-                    let s = transport.stats();
-                    reg.gauge_set(&format!("{prefix}wire.tx.frames"), s.tx_frames);
-                    reg.gauge_set(&format!("{prefix}wire.tx.bytes"), s.tx_bytes);
-                    reg.gauge_set(&format!("{prefix}wire.tx.dropped"), s.tx_dropped);
-                    reg.gauge_set(&format!("{prefix}wire.rx.frames"), s.rx_frames);
-                    reg.gauge_set(&format!("{prefix}wire.rx.bytes"), s.rx_bytes);
-                    reg.gauge_set(&format!("{prefix}wire.rx.dup"), s.rx_dup);
-                    reg.gauge_set(&format!("{prefix}wire.rx.stale"), s.rx_stale);
-                    reg.gauge_set(&format!("{prefix}wire.rx.gap"), s.rx_gap);
-                    reg.gauge_set(&format!("{prefix}wire.reconnects"), s.reconnects);
+                    let mut reg = k.counters.registry(&prefix);
+                    let s = k.transport.stats();
+                    for (name, v) in [
+                        ("wire.tx.frames", s.tx_frames),
+                        ("wire.tx.bytes", s.tx_bytes),
+                        ("wire.tx.dropped", s.tx_dropped),
+                        ("wire.rx.frames", s.rx_frames),
+                        ("wire.rx.bytes", s.rx_bytes),
+                        ("wire.rx.dup", s.rx_dup),
+                        ("wire.rx.stale", s.rx_stale),
+                        ("wire.rx.gap", s.rx_gap),
+                        ("wire.reconnects", s.reconnects),
+                    ] {
+                        reg.gauge_set(&format!("{prefix}{name}"), v);
+                    }
                     let _ = ack.send(reg);
                 }
                 Ok(Command::Snapshot(seg, ack)) => {
                     let pages =
-                        store.segments().iter().find(|(s, _)| *s == seg).map(|(_, p)| *p);
+                        k.store.segments().iter().find(|(s, _)| *s == seg).map(|(_, p)| *p);
                     let mut out = Vec::new();
                     if let Some(pages) = pages {
                         for p in 0..pages {
                             out.extend_from_slice(
-                                store.copy(seg, PageNum(p as u32)).as_bytes(),
+                                k.store.copy(seg, PageNum(p as u32)).as_bytes(),
                             );
                         }
                     }
@@ -356,30 +410,15 @@ pub fn kernel_main(
             }
         }
         // Wait briefly for wire traffic.
-        match transport.recv_timeout(Duration::from_micros(500)) {
+        match k.transport.recv_timeout(Duration::from_micros(500)) {
             TransportEvent::Frame(f) => {
-                metrics.add(&format!("{prefix}deliver.msgs"), 1);
+                k.counters.bump(Counter::DeliverMsgs);
                 match from_bytes::<ProtoMsg>(&f.payload) {
-                    Ok(msg) => {
-                        let t = now();
-                        driver.drive(
-                            Event::Deliver { from: f.from, msg },
-                            t,
-                            &mut store,
-                            &mut KernelOps {
-                                slot,
-                                timers: &mut timers,
-                                transport: transport.as_mut(),
-                                ref_log: &mut ref_log,
-                                metrics: &mut metrics,
-                                prefix: &prefix,
-                            },
-                        );
-                    }
+                    Ok(msg) => k.drive(Event::Deliver { from: f.from, msg }, now()),
                     // A frame that passed the checksum but fails the
                     // protocol codec is counted and dropped, never a
                     // panic: the retry chains re-drive the exchange.
-                    Err(_) => metrics.add(&format!("{prefix}wire.decode_error"), 1),
+                    Err(_) => k.counters.bump(Counter::DecodeError),
                 }
             }
             TransportEvent::Timeout => {}
@@ -391,7 +430,7 @@ pub fn kernel_main(
     // page so retried accesses succeed, raise the poison flag so the
     // fault handler stops parking threads, then grant whatever is
     // already parked.
-    store.open_all();
+    k.store.open_all();
     fault::poison(slot);
     let mut released = false;
     for fslot in &MAILBOXES[slot] {
@@ -410,6 +449,6 @@ pub fn kernel_main(
         // (and its memfd mappings) is deliberately leaked. This only
         // happens on teardown with threads still parked — a bounded,
         // once-per-site cost that buys a deadlock-free exit.
-        std::mem::forget(store);
+        std::mem::forget(k.store);
     }
 }

@@ -5,21 +5,27 @@
 //! (drop/duplicate/delay rates plus site crash/restart times). The
 //! scenario runs the storm, lets the network go perfect after the
 //! plan's horizon, drives every program to completion, and then checks
-//! the two properties the paper's §5.0 coherence definition demands at
+//! the properties the paper's §5.0 coherence definition demands at
 //! quiescence:
 //!
 //! 1. the structural invariants of [`mirage_core::invariants::check_page`]
 //!    (single writer, no writer/reader coexistence, byte-identical
-//!    copies, page not lost), and
-//! 2. **write visibility**: each process wrote a monotone series of
-//!    values to its own private word of each page; the final resident
-//!    copy must hold exactly the last value each process wrote.
+//!    copies, page not lost) — for Tardis, exclusive-ownership
+//!    discipline instead;
+//! 2. **write visibility**: each writer wrote a monotone series of
+//!    values to its own private word of each page; the authoritative
+//!    copy must hold exactly the last value each writer wrote;
+//! 3. on traced runs, both offline trace oracles
+//!    ([`mirage_trace::check()`] and [`mirage_trace::check_timestamps`]).
 //!
-//! The same entry point backs the `fuzz_coherence` integration test
-//! (bounded seed sweep in CI) and the `fault_storm` binary in
-//! `mirage-bench` (thousands of seeds, replay of a single failing
-//! seed). Everything is deterministic: a failing seed replays
-//! identically, and `MIRAGE_FAULT_TRACE=1` narrates the fault schedule.
+//! Every family is built from three shared pieces: one storm draw
+//! ([`storm_plan`]), one spawn of the closed-loop fuzz processes, and
+//! one quiescence tail ([`Quiescence::check`]). [`FuzzFamily`] selects
+//! the scenario and [`FuzzFamily::run`] runs one seed of it; the
+//! open-loop family in `mirage-workloads` reuses the draw and the tail.
+//! Everything is deterministic: a failing seed replays identically
+//! ([`FuzzFamily::replay`]), and `MIRAGE_FAULT_TRACE=1` narrates the
+//! fault schedule.
 
 use std::sync::{
     Arc,
@@ -33,11 +39,13 @@ use mirage_core::{
     PageStore,
     RetryPolicy,
 };
+use mirage_mem::PageData;
 use mirage_net::{
     CrashEvent,
     FaultPlan,
     LinkFaults,
 };
+use mirage_trace::TraceEvent;
 use mirage_types::{
     Delta,
     PageNum,
@@ -58,6 +66,7 @@ use crate::{
         Op,
         Program,
     },
+    site::Site,
     world::{
         MigrationEvent,
         PlacementPolicy,
@@ -72,7 +81,7 @@ use crate::{
 /// in the scenario builder, so for a given seed all three protocols see
 /// the bit-identical world shape, workload, and fault plan — the only
 /// variable is the protocol. That makes per-seed results directly
-/// comparable and lets [`run_fuzz_seed_matrix`] assert the protocols
+/// comparable and lets [`FuzzFamily::Matrix`] assert the protocols
 /// converge to the same final contents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FuzzProtocol {
@@ -114,9 +123,7 @@ impl FuzzProtocol {
 
     /// Rewrites the drawn config for this protocol. Draws nothing from
     /// any PRNG: the scenario stays bit-identical across protocols.
-    /// Public so out-of-crate fuzz harnesses (the open-loop family in
-    /// `mirage-workloads`) follow the same apply-after-all-draws idiom.
-    pub fn apply(self, cfg: &mut SimConfig) {
+    fn apply(self, cfg: &mut SimConfig) {
         match self {
             FuzzProtocol::Mirage => {}
             FuzzProtocol::Li => {
@@ -167,6 +174,225 @@ impl FuzzOutcome {
             s.push_str(&format!("\n  violation: {v}"));
         }
         s
+    }
+}
+
+/// A fuzz scenario family: which world generator a seed drives, and
+/// under which protocol. Every family draws its storm with
+/// [`storm_plan`] and ends in [`Quiescence::check`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FuzzFamily {
+    /// The classic storm — 2–4 sites, 1–2 pages, 1–2 processes per
+    /// site — under the given protocol. Every protocol replays the same
+    /// world, workload, and fault plan. Under Tardis the structural
+    /// oracle checks exclusive ownership and visibility is judged
+    /// against the owner's frame, else the home's master (stale read
+    /// leases elsewhere are legal).
+    Classic(FuzzProtocol),
+    /// The classic storm with 1–3 manual library handoffs at random
+    /// times layered *under* it. The schedule comes from its own PRNG
+    /// stream, so the world, workload, and plan stay the classic ones.
+    Migrate,
+    /// The classic storm with sub-page delta grants on. The flag draws
+    /// nothing, so only the grants' wire form differs from the classic
+    /// seed: deltas dropped, duplicated, delayed, and granters crashed
+    /// mid-retransmit must converge to the same coherent state.
+    Delta,
+    /// A planet-scale world: 65–160 sites (exactly `n` when pinned), so
+    /// reader masks run chunked and the circuit table runs paged, a
+    /// 4–8-page segment whose library is split into page-range shards,
+    /// and a shard-aware handoff schedule under the storm. Its own PRNG
+    /// stream, so the classic seeds keep their historical scenarios.
+    Large(Option<usize>),
+    /// The classic seed under all three protocols, plus a
+    /// cross-protocol check that they converge to byte-identical
+    /// authoritative page contents (divergences land in the Li and
+    /// Tardis outcomes).
+    Matrix,
+}
+
+impl FuzzFamily {
+    /// Runs one seed: one `(outcome, trace)` per protocol run — three
+    /// for [`FuzzFamily::Matrix`], one otherwise. Deterministic: the
+    /// same seed always produces the same world, workload, fault
+    /// schedule, and outcome, and tracing never changes any of them.
+    /// A traced run also returns its events and folds both offline
+    /// trace oracles into the outcome; an untraced run returns an empty
+    /// trace.
+    pub fn run(self, seed: u64, traced: bool) -> Vec<(FuzzOutcome, Vec<TraceEvent>)> {
+        let classic = |protocol, migrate, delta_grants| {
+            let (out, trace, _) = classic(seed, traced, protocol, migrate, delta_grants);
+            vec![(out, trace)]
+        };
+        match self {
+            FuzzFamily::Classic(p) => classic(p, false, false),
+            FuzzFamily::Migrate => classic(FuzzProtocol::Mirage, true, false),
+            FuzzFamily::Delta => classic(FuzzProtocol::Mirage, false, true),
+            FuzzFamily::Large(sites) => vec![large(seed, traced, sites)],
+            FuzzFamily::Matrix => run_fuzz_seed_matrix(seed, traced),
+        }
+    }
+
+    /// The `fault_storm` flags that select this family (empty for the
+    /// classic Mirage storm, the default).
+    pub fn flag(self) -> String {
+        match self {
+            FuzzFamily::Classic(FuzzProtocol::Mirage) => String::new(),
+            FuzzFamily::Classic(p) => format!(" --protocol {}", p.name()),
+            FuzzFamily::Migrate => " --migrate".into(),
+            FuzzFamily::Delta => " --delta".into(),
+            FuzzFamily::Large(None) => " --large".into(),
+            FuzzFamily::Large(Some(n)) => format!(" --sites {n}"),
+            FuzzFamily::Matrix => " --matrix".into(),
+        }
+    }
+
+    /// The `fault_storm` command that replays `seed` of this family,
+    /// narrating the fault schedule (the matrix replay prints its three
+    /// outcomes instead).
+    pub fn replay(self, seed: u64) -> String {
+        let narrate = if self == FuzzFamily::Matrix { "" } else { " --trace" };
+        replay_command(seed, &format!("{}{narrate}", self.flag()))
+    }
+}
+
+/// The full `cargo run` line replaying `seed` with `flags`: a copy-paste
+/// replays a failing seed from a clean checkout.
+pub fn replay_command(seed: u64, flags: &str) -> String {
+    format!(
+        "replay: cargo run --release -p mirage-bench --bin fault_storm -- --seed {seed}{flags}"
+    )
+}
+
+/// [`FuzzFamily::Classic`] under `protocol`, untraced.
+pub fn run_fuzz_seed_protocol(seed: u64, protocol: FuzzProtocol) -> FuzzOutcome {
+    classic(seed, false, protocol, false, false).0
+}
+
+/// [`FuzzFamily::Classic`] under `protocol`, traced: both offline
+/// oracles run over the trace and their violations merge into the
+/// outcome.
+pub fn run_fuzz_seed_protocol_traced(
+    seed: u64,
+    protocol: FuzzProtocol,
+) -> (FuzzOutcome, Vec<TraceEvent>) {
+    let (out, trace, _) = classic(seed, true, protocol, false, false);
+    (out, trace)
+}
+
+/// Draws the fault storm every family runs under: random link
+/// misbehaviour until `horizon_ms`, then a perfect network so the run
+/// must *converge*, not merely survive; and up to two distinct sites
+/// from `crash_candidates` crash and restart inside the storm. Draws
+/// the link rates, then the crashes, from `rng`.
+pub fn storm_plan(
+    rng: &mut Prng,
+    seed: u64,
+    horizon_ms: u64,
+    mut crash_candidates: Vec<usize>,
+) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    plan.seed = seed;
+    plan.horizon = SimTime::ZERO + SimDuration::from_millis(horizon_ms);
+    plan.gap_wait = SimDuration::from_millis(25);
+    plan.default_link = LinkFaults {
+        drop_pm: rng.below(300) as u32,
+        dup_pm: rng.below(200) as u32,
+        delay_pm: rng.below(1_500) as u32,
+        max_delay: SimDuration::from_millis(1 + rng.below(30)),
+    };
+    for _ in 0..rng.below(3) {
+        let i = rng.below(crash_candidates.len() as u64) as usize;
+        let site = crash_candidates.swap_remove(i);
+        let at = SimTime::ZERO + SimDuration::from_millis(200 + rng.below(horizon_ms - 400));
+        let down = SimDuration::from_millis(80 + rng.below(600));
+        plan.crashes.push(CrashEvent { site: SiteId(site as u16), at, back_at: at + down });
+    }
+    plan
+}
+
+/// One writer's write-visibility expectation: it wrote only the word at
+/// `offset` of each page, and `last[p]` is the last value it wrote to
+/// page `p` (`None` if it never wrote there).
+pub struct Expectation {
+    /// Names the writer in a violation (`proc 3`, `station 1`).
+    pub label: String,
+    /// The writer's private word offset.
+    pub offset: usize,
+    /// Last value written per page, filled in while the world runs.
+    pub last: Arc<Mutex<Vec<Option<u32>>>>,
+}
+
+/// The quiescence tail every fuzz family ends in.
+pub struct Quiescence {
+    /// The driving seed (reported in the outcome).
+    pub seed: u64,
+    /// The shared segment.
+    pub seg: SegmentId,
+    /// Pages `0..pages` of `seg` are checked.
+    pub pages: u64,
+    /// Whose notion of coherence and of the authoritative copy applies.
+    pub protocol: FuzzProtocol,
+    /// The storm's end; programs get 120 s past it to complete.
+    pub horizon: SimTime,
+    /// The world is tracing: run both offline trace oracles too.
+    pub traced: bool,
+}
+
+impl Quiescence {
+    /// Runs `world` to completion, drains residual protocol traffic
+    /// (trailing acks and retransmissions) for 5 s in the clean window,
+    /// and checks the structural invariants and every expectation's
+    /// write visibility; on traced runs, both offline trace oracles
+    /// follow. Each oracle is vacuous over the other protocol's event
+    /// kinds, so both always run and a stray cross-protocol emission
+    /// cannot hide.
+    pub fn check(
+        &self,
+        world: &mut World,
+        expectations: &[Expectation],
+    ) -> (FuzzOutcome, Vec<TraceEvent>) {
+        let completed =
+            world.run_to_completion(self.horizon + SimDuration::from_millis(120_000));
+        world.run_for(SimDuration::from_millis(5_000));
+
+        let mut violations = Vec::new();
+        if completed {
+            violations = structural_violations(world, self.seg, self.pages, self.protocol);
+            for e in expectations {
+                for (p, want) in e.last.lock().expect("poisoned").iter().enumerate() {
+                    let Some(want) = *want else { continue };
+                    let got =
+                        authoritative_frame(world, self.seg, PageNum(p as u32), self.protocol)
+                            .map(|f| f.load_u32(e.offset));
+                    if got != Some(want) {
+                        violations.push(format!(
+                            "write visibility: {} page {p}: last wrote {want}, \
+                             authoritative copy holds {got:?}",
+                            e.label
+                        ));
+                    }
+                }
+            }
+        }
+
+        let trace = world.take_trace();
+        if self.traced && completed {
+            let causal = mirage_trace::check(&trace).violations;
+            violations.extend(causal.into_iter().map(|v| format!("trace checker: {v}")));
+            let ts = mirage_trace::check_timestamps(&trace).violations;
+            violations.extend(ts.into_iter().map(|v| format!("timestamp oracle: {v}")));
+        }
+
+        let outcome = FuzzOutcome {
+            seed: self.seed,
+            completed,
+            violations,
+            stuck: world.stuck_pids(),
+            stats: world.fault_stats(),
+            accesses: world.total_accesses(),
+        };
+        (outcome, trace)
     }
 }
 
@@ -222,226 +448,118 @@ impl Program for FuzzProgram {
     }
 }
 
-/// The value of `(page, offset)` in the authoritative copy at
-/// quiescence, under the given protocol's notion of "authoritative":
-/// Mirage/Li use the resident copy (writer's frame, else any reader's),
-/// Tardis the exclusive owner's frame (else the home's master). The
-/// write-visibility oracle for every fuzz family, exported so the
-/// open-loop fuzz harness in `mirage-workloads` can assert it too.
-pub fn authoritative_value(
-    world: &World,
-    seg: SegmentId,
-    page: PageNum,
-    offset: usize,
-    protocol: FuzzProtocol,
-) -> Option<u32> {
-    match protocol {
-        FuzzProtocol::Tardis => tardis_authoritative_value(world, seg, page, offset),
-        _ => resident_value(world, seg, page, offset),
-    }
-}
-
-/// Structural coherence violations for the first `pages` pages of `seg`
-/// at quiescence: Mirage/Li run the §5.0 invariants
-/// ([`invariants::check_page`]), Tardis the exclusive-ownership
-/// discipline. Exported for the open-loop fuzz harness.
-pub fn structural_violations(
-    world: &World,
+/// Spawns the closed-loop fuzz processes: `count` on each listed
+/// `(site, count)`, process `k` owning the word at offset `4k` of every
+/// page. Each process's op budget is drawn from `rng` in spawn order.
+fn spawn_programs(
+    world: &mut World,
+    rng: &mut Prng,
+    seed: u64,
     seg: SegmentId,
     pages: u64,
-    protocol: FuzzProtocol,
-) -> Vec<String> {
-    match protocol {
-        FuzzProtocol::Mirage | FuzzProtocol::Li => {
-            let mut violations = Vec::new();
-            for p in 0..pages {
-                let page = PageNum(p as u32);
-                let stores: Vec<(SiteId, &dyn PageStore)> =
-                    world.sites.iter().map(|s| (s.id, &s.store as &dyn PageStore)).collect();
-                for v in invariants::check_page(&stores, seg, page) {
-                    violations.push(format!("page {p}: {v:?}"));
-                }
-            }
-            violations
-        }
-        FuzzProtocol::Tardis => tardis_quiescence_violations(world, seg, pages),
-    }
-}
-
-/// The value of `(page, offset)` in the authoritative resident copy:
-/// the writer's copy if one exists, else any reader's (they are
-/// byte-identical when the invariants hold).
-fn resident_value(world: &World, seg: SegmentId, page: PageNum, offset: usize) -> Option<u32> {
-    let mut fallback = None;
-    for s in &world.sites {
-        let val =
-            || s.store.segment(seg).and_then(|ls| ls.frame(page)).map(|f| f.load_u32(offset));
-        match s.store.prot(seg, page) {
-            PageProt::ReadWrite => return val(),
-            PageProt::Read => {
-                if fallback.is_none() {
-                    fallback = val();
-                }
-            }
-            PageProt::None => {}
+    per_site: &[(usize, usize)],
+) -> Vec<Expectation> {
+    let total_procs: u64 = per_site.iter().map(|&(_, c)| c as u64).sum();
+    let mut expectations = Vec::new();
+    for &(site, count) in per_site {
+        for _ in 0..count {
+            let k = expectations.len();
+            let last = Arc::new(Mutex::new(vec![None; pages as usize]));
+            let prog = FuzzProgram {
+                seg,
+                pages,
+                offset: k * 4,
+                total_procs,
+                rng: Prng::new(seed.wrapping_add(0x9E37 * (k as u64 + 1))),
+                ops_left: 12 + rng.below(20) as u32,
+                done: 0,
+                next_val: (k as u32) * 1_000_000 + 1,
+                expected: Arc::clone(&last),
+            };
+            world.spawn(site, Box::new(prog), pages as usize);
+            expectations.push(Expectation { label: format!("proc {k}"), offset: k * 4, last });
         }
     }
-    fallback
+    expectations
 }
 
-/// Builds and runs the scenario for one seed. Deterministic: the same
-/// seed always produces the same world, workload, fault schedule, and
-/// outcome.
-pub fn run_fuzz_seed(seed: u64) -> FuzzOutcome {
-    run_fuzz_seed_inner(seed, false, false, false, FuzzProtocol::Mirage).0
-}
-
-/// [`run_fuzz_seed`] under an explicit rival protocol. The seed's world
-/// shape, workload, and fault plan are bit-identical to the classic
-/// Mirage run; only the coherence machinery differs. Under
-/// [`FuzzProtocol::Tardis`] the quiescence oracle swaps the Mirage
-/// structural invariants for the Tardis ones: at most one exclusive
-/// owner, home/owner agreement, and write visibility against the
-/// authoritative copy (the owner's frame, else the home's master) —
-/// stale read leases at other sites are legal and left alone.
-pub fn run_fuzz_seed_protocol(seed: u64, protocol: FuzzProtocol) -> FuzzOutcome {
-    run_fuzz_seed_inner(seed, false, false, false, protocol).0
-}
-
-/// [`run_fuzz_seed_protocol`] with tracing: both offline oracles — the
-/// Mirage copy-state checker and the timestamp-ordering checker — run
-/// over the trace and their violations merge into the outcome. Each is
-/// vacuous over the other protocol's events, so both always run.
-pub fn run_fuzz_seed_protocol_traced(
-    seed: u64,
-    protocol: FuzzProtocol,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_inner(seed, true, false, false, protocol)
-}
-
-/// Cross-protocol differential check: runs the same seed under all
-/// three protocols (identical world, workload, and fault plan) and
-/// asserts they converge to byte-identical authoritative page contents
-/// at quiescence. Returns the per-protocol outcomes plus any divergence
-/// violations; everything is merged into the returned outcomes'
-/// `violations`, so `all(FuzzOutcome::is_ok)` is the pass criterion.
-pub fn run_fuzz_seed_matrix(seed: u64) -> Vec<FuzzOutcome> {
-    let mut outcomes: Vec<(FuzzProtocol, FuzzOutcome, Vec<Vec<u8>>)> = FuzzProtocol::ALL
-        .into_iter()
-        .map(|p| {
-            let (out, pages) = run_fuzz_seed_final_pages(seed, p);
-            (p, out, pages)
-        })
-        .collect();
-    // Compare every protocol's authoritative contents against Mirage's.
-    let (baseline, rest) = outcomes.split_first_mut().expect("three outcomes");
-    if baseline.1.completed {
-        for (p, out, pages) in rest.iter_mut() {
-            if !out.completed {
-                continue;
-            }
-            for (i, (a, b)) in baseline.2.iter().zip(pages.iter()).enumerate() {
-                if a != b {
-                    out.violations.push(format!(
-                        "cross-protocol divergence: page {i} differs between \
-                         mirage and {} (first diff at byte {})",
-                        p.name(),
-                        a.iter().zip(b.iter()).position(|(x, y)| x != y).unwrap_or(0),
-                    ));
-                }
-            }
-        }
-    }
-    outcomes.into_iter().map(|(_, out, _)| out).collect()
-}
-
-/// One protocol's run plus the authoritative bytes of every page at
-/// quiescence (for the cross-protocol diff).
-fn run_fuzz_seed_final_pages(seed: u64, protocol: FuzzProtocol) -> (FuzzOutcome, Vec<Vec<u8>>) {
-    let (out, _trace, pages) = run_fuzz_seed_full(seed, false, false, false, protocol);
-    (out, pages)
-}
-
-/// [`run_fuzz_seed`] with protocol tracing enabled: the same scenario
-/// (tracing never changes simulated behaviour) plus the collected event
-/// trace. The offline trace checker ([`mirage_trace::check()`]) runs over
-/// the trace and its violations are merged into the outcome, so the
-/// structural `check_page` oracle and the causal trace oracle cross-check
-/// each other on every seed.
-pub fn run_fuzz_seed_traced(seed: u64) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_inner(seed, true, false, false, FuzzProtocol::Mirage)
-}
-
-/// [`run_fuzz_seed`] with sub-page delta grants enabled. The flag draws
-/// nothing from the PRNG, so the world shape, workload, and fault plan
-/// are exactly the classic seed's — the only difference is the wire
-/// form of the grants, which is what the storm then attacks: deltas
-/// dropped, duplicated, delayed, and granters crashed mid-retransmit
-/// (clearing their volatile shadow bases) must all converge to the same
-/// coherent quiescent state the full-grant run reaches.
-pub fn run_fuzz_seed_delta(seed: u64) -> FuzzOutcome {
-    run_fuzz_seed_inner(seed, false, false, true, FuzzProtocol::Mirage).0
-}
-
-/// [`run_fuzz_seed_delta`] with tracing: the causal trace checker
-/// (including the delta tag-fidelity rule — a patched page must hash to
-/// the exact content tag the granter shipped) cross-checks the
-/// structural oracle on every seed.
-pub fn run_fuzz_seed_delta_traced(seed: u64) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_inner(seed, true, false, true, FuzzProtocol::Mirage)
-}
-
-/// [`run_fuzz_seed`] with a seeded manual library-migration schedule
-/// layered *under* the fault storm: 1–3 handoffs at random times while
-/// messages drop, duplicate, reorder, and sites crash. The schedule is
-/// drawn from its own PRNG stream, so the world shape, workload, and
-/// fault plan stay identical to the non-migrating run of the same seed.
-pub fn run_fuzz_seed_migrating(seed: u64) -> FuzzOutcome {
-    run_fuzz_seed_inner(seed, false, true, false, FuzzProtocol::Mirage).0
-}
-
-/// [`run_fuzz_seed_migrating`] with tracing plus the epoch-aware trace
-/// checker merged into the outcome.
-pub fn run_fuzz_seed_migrating_traced(
-    seed: u64,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_inner(seed, true, true, false, FuzzProtocol::Mirage)
-}
-
-/// [`run_fuzz_seed`] over a planet-scale world: 65–160 sites (so reader
-/// masks run chunked and the circuit table runs paged), a multi-page
-/// segment whose library is split into page-range shards, and a
-/// shard-aware migration schedule layered *under* the fault storm. A
-/// separate entry point with its own PRNG stream, so the classic seeds
-/// keep their exact historical scenarios.
-pub fn run_fuzz_seed_large(seed: u64) -> FuzzOutcome {
-    run_fuzz_seed_large_inner(seed, false, None).0
-}
-
-/// [`run_fuzz_seed_large`] with tracing and the epoch-aware trace
-/// checker merged into the outcome.
-pub fn run_fuzz_seed_large_traced(seed: u64) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_large_inner(seed, true, None)
-}
-
-/// [`run_fuzz_seed_large_traced`] at an explicit world size. The CI
-/// smoke drives one traced seed through a 1,024-site world with both
-/// oracles; everything but the site count is drawn as in the random
-/// large scenario.
-pub fn run_fuzz_seed_sized_traced(
-    seed: u64,
-    n_sites: usize,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_large_inner(seed, true, Some(n_sites))
-}
-
-fn run_fuzz_seed_large_inner(
+/// The classic scenario (see [`FuzzFamily::Classic`], `Migrate`,
+/// `Delta`), plus every page's authoritative bytes at quiescence for
+/// the cross-protocol diff (empty unless the run completed).
+fn classic(
     seed: u64,
     traced: bool,
-    sites_override: Option<usize>,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
+    protocol: FuzzProtocol,
+    migrate: bool,
+    delta_grants: bool,
+) -> (FuzzOutcome, Vec<TraceEvent>, Vec<Vec<u8>>) {
+    let mut rng = Prng::new(seed ^ 0xF0_55ED);
+    let n_sites = 2 + rng.below(3) as usize; // 2..=4
+    let pages = 1 + rng.below(2); // 1..=2
+
+    let mut cfg = SimConfig::default();
+    cfg.protocol.delta = DeltaPolicy::Uniform(Delta(rng.below(3) as u32));
+    cfg.protocol.retry = Some(RetryPolicy::default());
+    // Set after every config draw: delta mode and the rival protocols
+    // replay the classic seed's exact scenario.
+    cfg.protocol.delta_grants = delta_grants;
+    protocol.apply(&mut cfg);
+
+    let mut world = World::new(n_sites, cfg);
+    if traced {
+        world.enable_tracing();
+    }
+    let seg = world.create_segment(0, pages as usize);
+
+    // Any site may crash — including the library site, whose request
+    // queue must be reconstructed on restart.
+    let horizon_ms = 1_500 + rng.below(2_500);
+    let plan = storm_plan(&mut rng, seed, horizon_ms, (0..n_sites).collect());
+    let horizon = plan.horizon;
+    world.install_fault_plan(plan);
+
+    if migrate {
+        // A separate PRNG stream: adding the schedule must not perturb
+        // the world shape, workload, or fault plan above.
+        let mut mrng = Prng::new(seed ^ 0x4D31_6772_A7E5);
+        let moves = 1 + mrng.below(3); // 1..=3 handoffs
+        let schedule: Vec<MigrationEvent> = (0..moves)
+            .map(|_| MigrationEvent {
+                at: SimTime::ZERO
+                    + SimDuration::from_millis(300 + mrng.below(horizon_ms + 5_000)),
+                seg,
+                to: SiteId(mrng.below(n_sites as u64) as u16),
+                shard: None,
+            })
+            .collect();
+        world.set_placement_policy(PlacementPolicy::Manual(schedule));
+    }
+
+    // Processes: 1–2 per site, each with a dedicated word per page.
+    let per_site: Vec<(usize, usize)> =
+        (0..n_sites).map(|s| (s, 1 + rng.below(2) as usize)).collect();
+    let expectations = spawn_programs(&mut world, &mut rng, seed, seg, pages, &per_site);
+
+    let tail = Quiescence { seed, seg, pages, protocol, horizon, traced };
+    let (outcome, trace) = tail.check(&mut world, &expectations);
+    let final_pages = if outcome.completed {
+        (0..pages)
+            .map(|p| {
+                authoritative_frame(&world, seg, PageNum(p as u32), protocol)
+                    .map(|f| f.as_bytes().to_vec())
+                    .unwrap_or_default()
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    (outcome, trace, final_pages)
+}
+
+/// The large scenario (see [`FuzzFamily::Large`]).
+fn large(seed: u64, traced: bool, sites: Option<usize>) -> (FuzzOutcome, Vec<TraceEvent>) {
     let mut rng = Prng::new(seed ^ 0x001A_26E5_17E5);
-    let n_sites = sites_override.unwrap_or_else(|| 65 + rng.below(96) as usize); // 65..=160
+    let n_sites = sites.unwrap_or_else(|| 65 + rng.below(96) as usize); // 65..=160
     let pages = 4 + rng.below(5); // 4..=8
 
     let mut cfg = SimConfig::default();
@@ -477,28 +595,11 @@ fn run_fuzz_seed_large_inner(
         }
     }
 
-    let horizon_ms = 1_500 + rng.below(2_500);
-    let horizon = SimTime::ZERO + SimDuration::from_millis(horizon_ms);
-    let mut plan = FaultPlan::none();
-    plan.seed = seed;
-    plan.horizon = horizon;
-    plan.gap_wait = SimDuration::from_millis(25);
-    plan.default_link = LinkFaults {
-        drop_pm: rng.below(300) as u32,
-        dup_pm: rng.below(200) as u32,
-        delay_pm: rng.below(1_500) as u32,
-        max_delay: SimDuration::from_millis(1 + rng.below(30)),
-    };
     // Crashes hit *active* sites (crashing an idle spectator exercises
     // nothing), including the library home with its sharded roles.
-    let mut candidates = active.clone();
-    for _ in 0..rng.below(3) {
-        let site = candidates.swap_remove(rng.below(candidates.len() as u64) as usize);
-        let at = SimTime::ZERO + SimDuration::from_millis(200 + rng.below(horizon_ms - 400));
-        let down = SimDuration::from_millis(80 + rng.below(600));
-        plan.crashes.push(CrashEvent { site: SiteId(site as u16), at, back_at: at + down });
-    }
-    let fault_active = plan.is_active();
+    let horizon_ms = 1_500 + rng.below(2_500);
+    let plan = storm_plan(&mut rng, seed, horizon_ms, active.clone());
+    let horizon = plan.horizon;
     world.install_fault_plan(plan);
 
     // Per-shard migrations are the point of the large scenario, so the
@@ -523,245 +624,61 @@ fn run_fuzz_seed_large_inner(
     // 1–2 processes per active site, each with a dedicated word per page.
     let per_site: Vec<(usize, usize)> =
         active.iter().map(|&s| (s, 1 + rng.below(2) as usize)).collect();
-    let total_procs: u64 = per_site.iter().map(|&(_, c)| c as u64).sum();
-    let mut expected_handles: Vec<Arc<Mutex<Vec<Option<u32>>>>> = Vec::new();
-    let mut k = 0u64;
-    for &(site, count) in &per_site {
-        for _ in 0..count {
-            let expected = Arc::new(Mutex::new(vec![None; pages as usize]));
-            expected_handles.push(Arc::clone(&expected));
-            let prog = FuzzProgram {
-                seg,
-                pages,
-                offset: k as usize * 4,
-                total_procs,
-                rng: Prng::new(seed.wrapping_add(0x9E37 * (k + 1))),
-                ops_left: 12 + rng.below(20) as u32,
-                done: 0,
-                next_val: (k as u32) * 1_000_000 + 1,
-                expected,
-            };
-            world.spawn(site, Box::new(prog), pages as usize);
-            k += 1;
-        }
-    }
+    let expectations = spawn_programs(&mut world, &mut rng, seed, seg, pages, &per_site);
 
-    let deadline = horizon + SimDuration::from_millis(120_000);
-    let completed = world.run_to_completion(deadline);
-    world.run_for(SimDuration::from_millis(5_000));
-
-    let mut violations = Vec::new();
-    if completed {
-        for p in 0..pages {
-            let page = PageNum(p as u32);
-            let stores: Vec<(SiteId, &dyn PageStore)> =
-                world.sites.iter().map(|s| (s.id, &s.store as &dyn PageStore)).collect();
-            for v in invariants::check_page(&stores, seg, page) {
-                violations.push(format!("page {p}: {v:?}"));
-            }
-        }
-        for (k, handle) in expected_handles.iter().enumerate() {
-            let exp = handle.lock().expect("poisoned");
-            for (p, want) in exp.iter().enumerate() {
-                let Some(want) = want else { continue };
-                let page = PageNum(p as u32);
-                let got = resident_value(&world, seg, page, k * 4);
-                if got != Some(*want) {
-                    violations.push(format!(
-                        "write visibility: proc {k} page {p}: last wrote {want}, \
-                         resident copy holds {got:?}"
-                    ));
-                }
-            }
-        }
-    }
-
-    let trace = world.take_trace();
-    if traced && completed {
-        let report = mirage_trace::check(&trace);
-        for v in report.violations {
-            violations.push(format!("trace checker: {v}"));
-        }
-    }
-
-    (
-        FuzzOutcome {
-            seed,
-            completed,
-            violations,
-            stuck: world.stuck_pids(),
-            stats: if fault_active { world.fault_stats() } else { None },
-            accesses: world.total_accesses(),
-        },
-        trace,
-    )
+    let tail = Quiescence { seed, seg, pages, protocol: FuzzProtocol::Mirage, horizon, traced };
+    tail.check(&mut world, &expectations)
 }
 
-fn run_fuzz_seed_inner(
-    seed: u64,
-    traced: bool,
-    migrate: bool,
-    delta_grants: bool,
-    protocol: FuzzProtocol,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    let (out, trace, _pages) =
-        run_fuzz_seed_full(seed, traced, migrate, delta_grants, protocol);
-    (out, trace)
-}
-
-fn run_fuzz_seed_full(
-    seed: u64,
-    traced: bool,
-    migrate: bool,
-    delta_grants: bool,
-    protocol: FuzzProtocol,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>, Vec<Vec<u8>>) {
-    let mut rng = Prng::new(seed ^ 0xF0_55ED);
-    let n_sites = 2 + rng.below(3) as usize; // 2..=4
-    let pages = 1 + rng.below(2); // 1..=2
-
-    let mut cfg = SimConfig::default();
-    cfg.protocol.delta = DeltaPolicy::Uniform(Delta(rng.below(3) as u32));
-    cfg.protocol.retry = Some(RetryPolicy::default());
-    // Set after every PRNG draw: delta mode replays the classic seed's
-    // exact scenario, changing only the grants' wire form.
-    cfg.protocol.delta_grants = delta_grants;
-    // Likewise after every draw: the rival protocols replay the exact
-    // classic scenario, changing only the coherence machinery.
-    protocol.apply(&mut cfg);
-
-    let mut world = World::new(n_sites, cfg);
-    if traced {
-        world.enable_tracing();
-    }
-    let seg = world.create_segment(0, pages as usize);
-
-    // The fault storm: random link misbehaviour until `horizon`, then a
-    // perfect network so the run must *converge*, not merely survive.
-    let horizon_ms = 1_500 + rng.below(2_500);
-    let horizon = SimTime::ZERO + SimDuration::from_millis(horizon_ms);
-    let mut plan = FaultPlan::none();
-    plan.seed = seed;
-    plan.horizon = horizon;
-    plan.gap_wait = SimDuration::from_millis(25);
-    plan.default_link = LinkFaults {
-        drop_pm: rng.below(300) as u32,
-        dup_pm: rng.below(200) as u32,
-        delay_pm: rng.below(1_500) as u32,
-        max_delay: SimDuration::from_millis(1 + rng.below(30)),
-    };
-    // Up to two distinct sites crash (any site — including the library
-    // site, whose request queue must be reconstructed on restart).
-    let mut candidates: Vec<usize> = (0..n_sites).collect();
-    for _ in 0..rng.below(3) {
-        let site = candidates.swap_remove(rng.below(candidates.len() as u64) as usize);
-        let at = SimTime::ZERO + SimDuration::from_millis(200 + rng.below(horizon_ms - 400));
-        let down = SimDuration::from_millis(80 + rng.below(600));
-        plan.crashes.push(CrashEvent { site: SiteId(site as u16), at, back_at: at + down });
-    }
-    let active = plan.is_active();
-    world.install_fault_plan(plan);
-
-    if migrate {
-        // A separate PRNG stream: adding the schedule must not perturb
-        // the world shape, workload, or fault plan above.
-        let mut mrng = Prng::new(seed ^ 0x4D31_6772_A7E5);
-        let moves = 1 + mrng.below(3); // 1..=3 handoffs
-        let schedule: Vec<MigrationEvent> = (0..moves)
-            .map(|_| MigrationEvent {
-                at: SimTime::ZERO
-                    + SimDuration::from_millis(300 + mrng.below(horizon_ms + 5_000)),
-                seg,
-                to: SiteId(mrng.below(n_sites as u64) as u16),
-                shard: None,
-            })
-            .collect();
-        world.set_placement_policy(PlacementPolicy::Manual(schedule));
-    }
-
-    // Processes: 1–2 per site, each with a dedicated word per page.
-    let per_site: Vec<usize> = (0..n_sites).map(|_| 1 + rng.below(2) as usize).collect();
-    let total_procs: u64 = per_site.iter().map(|&c| c as u64).sum();
-    let mut expected_handles: Vec<Arc<Mutex<Vec<Option<u32>>>>> = Vec::new();
-    let mut k = 0u64;
-    for (site, &count) in per_site.iter().enumerate() {
-        for _ in 0..count {
-            let expected = Arc::new(Mutex::new(vec![None; pages as usize]));
-            expected_handles.push(Arc::clone(&expected));
-            let prog = FuzzProgram {
-                seg,
-                pages,
-                offset: k as usize * 4,
-                total_procs,
-                rng: Prng::new(seed.wrapping_add(0x9E37 * (k + 1))),
-                ops_left: 12 + rng.below(20) as u32,
-                done: 0,
-                next_val: (k as u32) * 1_000_000 + 1,
-                expected,
-            };
-            world.spawn(site, Box::new(prog), pages as usize);
-            k += 1;
-        }
-    }
-
-    let deadline = horizon + SimDuration::from_millis(120_000);
-    let completed = world.run_to_completion(deadline);
-    // Quiescence: drain residual protocol traffic (trailing acks and
-    // retransmissions) in the clean window before checking state.
-    world.run_for(SimDuration::from_millis(5_000));
-
-    let mut violations = Vec::new();
-    if completed {
-        violations.extend(structural_violations(&world, seg, pages, protocol));
-        for (k, handle) in expected_handles.iter().enumerate() {
-            let exp = handle.lock().expect("poisoned");
-            for (p, want) in exp.iter().enumerate() {
-                let Some(want) = want else { continue };
-                let page = PageNum(p as u32);
-                let got = authoritative_value(&world, seg, page, k * 4, protocol);
-                if got != Some(*want) {
-                    violations.push(format!(
-                        "write visibility: proc {k} page {p}: last wrote {want}, \
-                         resident copy holds {got:?}"
-                    ));
-                }
+/// [`FuzzFamily::Matrix`]: the classic seed under all three protocols
+/// (identical world, workload, and fault plan); each rival's
+/// authoritative page bytes are diffed against Mirage's, divergences
+/// merged into the rival's `violations`, so `all(FuzzOutcome::is_ok)`
+/// is the pass criterion.
+fn run_fuzz_seed_matrix(seed: u64, traced: bool) -> Vec<(FuzzOutcome, Vec<TraceEvent>)> {
+    let (mirage, trace, base) = classic(seed, traced, FuzzProtocol::Mirage, false, false);
+    let mut runs = vec![(mirage, trace)];
+    for p in [FuzzProtocol::Li, FuzzProtocol::Tardis] {
+        let (mut out, trace, pages) = classic(seed, traced, p, false, false);
+        // Page bytes are empty unless the run completed: only two
+        // completed runs are compared.
+        for (i, (a, b)) in base.iter().zip(&pages).enumerate() {
+            if a != b {
+                out.violations.push(format!(
+                    "cross-protocol divergence: page {i} differs between \
+                     mirage and {} (first diff at byte {})",
+                    p.name(),
+                    a.iter().zip(b.iter()).position(|(x, y)| x != y).unwrap_or(0),
+                ));
             }
         }
+        runs.push((out, trace));
     }
+    runs
+}
 
-    let trace = world.take_trace();
-    if traced && completed {
-        // Both offline oracles run regardless of protocol: each is
-        // vacuous over the other protocol's event kinds, and running
-        // both keeps a stray cross-protocol emission from hiding.
-        let report = mirage_trace::check(&trace);
-        for v in report.violations {
-            violations.push(format!("trace checker: {v}"));
-        }
-        let ts = mirage_trace::check_timestamps(&trace);
-        for v in ts.violations {
-            violations.push(format!("timestamp oracle: {v}"));
+/// Structural coherence violations for the first `pages` pages of `seg`
+/// at quiescence: Mirage/Li run the §5.0 invariants
+/// ([`invariants::check_page`]), Tardis the exclusive-ownership
+/// discipline.
+fn structural_violations(
+    world: &World,
+    seg: SegmentId,
+    pages: u64,
+    protocol: FuzzProtocol,
+) -> Vec<String> {
+    if protocol == FuzzProtocol::Tardis {
+        return tardis_quiescence_violations(world, seg, pages);
+    }
+    let mut violations = Vec::new();
+    for p in 0..pages {
+        let stores: Vec<(SiteId, &dyn PageStore)> =
+            world.sites.iter().map(|s| (s.id, &s.store as &dyn PageStore)).collect();
+        for v in invariants::check_page(&stores, seg, PageNum(p as u32)) {
+            violations.push(format!("page {p}: {v:?}"));
         }
     }
-
-    let final_pages = if completed {
-        authoritative_page_bytes(&world, seg, pages, protocol)
-    } else {
-        Vec::new()
-    };
-
-    (
-        FuzzOutcome {
-            seed,
-            completed,
-            violations,
-            stuck: world.stuck_pids(),
-            stats: if active { world.fault_stats() } else { None },
-            accesses: world.total_accesses(),
-        },
-        trace,
-        final_pages,
-    )
+    violations
 }
 
 /// Tardis structural invariants at quiescence. Unlike Mirage, stale
@@ -806,85 +723,26 @@ fn tardis_quiescence_violations(world: &World, seg: SegmentId, pages: u64) -> Ve
     violations
 }
 
-/// The value of `(page, offset)` in the Tardis authoritative copy: the
-/// exclusive owner's frame if ownership is out, else the home's master.
-fn tardis_authoritative_value(
-    world: &World,
+/// The authoritative copy of `page` at quiescence: the writer's (or
+/// Tardis exclusive owner's) frame if one site holds the page
+/// read-write; otherwise, under Mirage/Li, the first reader's frame
+/// (byte-identical to every other reader's when the invariants hold),
+/// and under Tardis the home's master.
+fn authoritative_frame<'w>(
+    world: &'w World,
     seg: SegmentId,
     page: PageNum,
-    offset: usize,
-) -> Option<u32> {
-    for s in &world.sites {
-        if s.store.prot(seg, page) == PageProt::ReadWrite {
-            return s
-                .store
-                .segment(seg)
-                .and_then(|ls| ls.frame(page))
-                .map(|f| f.load_u32(offset));
-        }
-    }
-    world.sites[seg.library.index()]
-        .driver
-        .engine()
-        .tardis_master(seg, page)
-        .map(|d| d.load_u32(offset))
-}
-
-/// Every page's authoritative bytes at quiescence, for the
-/// cross-protocol diff: under Mirage/Li the writer's copy (else any
-/// reader's — byte-identical when the invariants hold), under Tardis
-/// the owner's frame (else the home master).
-fn authoritative_page_bytes(
-    world: &World,
-    seg: SegmentId,
-    pages: u64,
     protocol: FuzzProtocol,
-) -> Vec<Vec<u8>> {
-    (0..pages)
-        .map(|p| {
-            let page = PageNum(p as u32);
-            let bytes = match protocol {
-                FuzzProtocol::Tardis => world
-                    .sites
-                    .iter()
-                    .find(|s| s.store.prot(seg, page) == PageProt::ReadWrite)
-                    .and_then(|s| {
-                        s.store
-                            .segment(seg)
-                            .and_then(|ls| ls.frame(page))
-                            .map(|f| f.as_bytes().to_vec())
-                    })
-                    .or_else(|| {
-                        world.sites[seg.library.index()]
-                            .driver
-                            .engine()
-                            .tardis_master(seg, page)
-                            .map(|d| d.as_bytes().to_vec())
-                    }),
-                _ => {
-                    let mut fallback = None;
-                    let mut writer = None;
-                    for s in &world.sites {
-                        let val = || {
-                            s.store
-                                .segment(seg)
-                                .and_then(|ls| ls.frame(page))
-                                .map(|f| f.as_bytes().to_vec())
-                        };
-                        match s.store.prot(seg, page) {
-                            PageProt::ReadWrite => writer = val(),
-                            PageProt::Read => {
-                                if fallback.is_none() {
-                                    fallback = val();
-                                }
-                            }
-                            PageProt::None => {}
-                        }
-                    }
-                    writer.or(fallback)
-                }
-            };
-            bytes.unwrap_or_default()
-        })
-        .collect()
+) -> Option<&'w PageData> {
+    let holding = |prot| world.sites.iter().filter(move |s| s.store.prot(seg, page) == prot);
+    let frame = |s: &'w Site| s.store.segment(seg).and_then(|ls| ls.frame(page));
+    if let Some(writer) = holding(PageProt::ReadWrite).next() {
+        return frame(writer);
+    }
+    match protocol {
+        FuzzProtocol::Tardis => {
+            world.sites[seg.library.index()].driver.engine().tardis_master(seg, page)
+        }
+        _ => holding(PageProt::Read).find_map(frame),
+    }
 }

@@ -43,22 +43,15 @@ pub mod world;
 pub use calendar::CalendarQueue;
 pub use faults::FaultStats;
 pub use fuzz::{
-    authoritative_value,
-    run_fuzz_seed,
-    run_fuzz_seed_delta,
-    run_fuzz_seed_delta_traced,
-    run_fuzz_seed_large,
-    run_fuzz_seed_large_traced,
-    run_fuzz_seed_matrix,
-    run_fuzz_seed_migrating,
-    run_fuzz_seed_migrating_traced,
+    replay_command,
     run_fuzz_seed_protocol,
     run_fuzz_seed_protocol_traced,
-    run_fuzz_seed_sized_traced,
-    run_fuzz_seed_traced,
-    structural_violations,
+    storm_plan,
+    Expectation,
+    FuzzFamily,
     FuzzOutcome,
     FuzzProtocol,
+    Quiescence,
 };
 pub use instrument::Instrumentation;
 pub use openloop::{

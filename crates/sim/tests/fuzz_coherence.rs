@@ -3,230 +3,107 @@
 //! Each seed builds a random world, workload, and fault plan
 //! (drop/duplicate/delay/reorder plus site crash/restart), runs the
 //! storm with the timeout/retry machinery enabled, and asserts at
-//! quiescence that (1) the structural coherence invariants hold and
-//! (2) every process's last write is visible in the surviving copy.
+//! quiescence that (1) the structural coherence invariants hold,
+//! (2) every process's last write is visible in the authoritative copy,
+//! and (3) both offline trace oracles accept the run — every sweep runs
+//! traced.
 //!
 //! The default sweep is sized for CI; widen it with
 //! `MIRAGE_FUZZ_SEEDS=5000` (count) and/or `MIRAGE_FUZZ_START=1000`
 //! (first seed). The `fault_storm` binary in `mirage-bench` runs the
-//! same scenarios at scale. A failing seed replays deterministically:
-//!
-//! ```text
-//! cargo run --release -p mirage-bench --bin fault_storm -- --seed <N> --trace
-//! ```
+//! same scenarios at scale. A failing seed prints its replay command
+//! ([`FuzzFamily::replay`]) and replays deterministically.
 
 use mirage_sim::{
-    run_fuzz_seed,
-    run_fuzz_seed_delta_traced,
-    run_fuzz_seed_large_traced,
-    run_fuzz_seed_matrix,
-    run_fuzz_seed_migrating_traced,
-    run_fuzz_seed_protocol_traced,
-    run_fuzz_seed_traced,
+    FuzzFamily,
     FuzzProtocol,
 };
+use mirage_trace::TraceEvent;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-#[test]
-fn randomized_fault_storms_preserve_coherence() {
+/// Runs `family` traced over `MIRAGE_FUZZ_START..+count` (the count
+/// from `count_var`, else `default`), hands every run's trace to
+/// `inspect`, and fails with each failing seed's replay command.
+fn sweep(
+    family: FuzzFamily,
+    count_var: &str,
+    default: u64,
+    mut inspect: impl FnMut(&[TraceEvent]),
+) {
     let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_SEEDS", 60);
+    let count = env_u64(count_var, default);
     let mut failures = Vec::new();
     for seed in start..start + count {
-        // Run traced: the causal trace checker cross-checks the
-        // structural `check_page` oracle on every seed, and its
-        // violations land in the same outcome.
-        let (outcome, _trace) = run_fuzz_seed_traced(seed);
-        if !outcome.is_ok() {
-            eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed} --trace"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} fuzz seeds failed: {failures:?} (see stderr for replay commands)",
-        failures.len()
-    );
-}
-
-/// The same storms with a seeded manual library-migration schedule
-/// layered underneath: epoch-stamped role handoffs must survive message
-/// loss, duplication, and site crashes (including the library site
-/// crashing mid-handoff) without violating either oracle, and the
-/// epoch-aware trace checker must accept every traced run.
-#[test]
-fn randomized_fault_storms_with_migration_preserve_coherence() {
-    let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_SEEDS", 60);
-    let mut failures = Vec::new();
-    for seed in start..start + count {
-        let (outcome, _trace) = run_fuzz_seed_migrating_traced(seed);
-        if !outcome.is_ok() {
-            eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed} --migrate --trace"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} migrating fuzz seeds failed: {failures:?} \
-         (see stderr for replay commands)",
-        failures.len()
-    );
-}
-
-/// Planet-scale storms: 65–160 sites (chunked reader masks, paged
-/// circuit table), a multi-page segment split into library shards, and
-/// a shard-aware handoff schedule racing the same fault plan. Both
-/// oracles run on every seed. Fewer seeds than the classic sweep — each
-/// world is bigger — but the same env knobs widen it.
-#[test]
-fn large_sharded_fault_storms_preserve_coherence() {
-    let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_LARGE_SEEDS", 16);
-    let mut failures = Vec::new();
-    for seed in start..start + count {
-        let (outcome, _trace) = run_fuzz_seed_large_traced(seed);
-        if !outcome.is_ok() {
-            eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed} --large --trace"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} large fuzz seeds failed: {failures:?} \
-         (see stderr for replay commands)",
-        failures.len()
-    );
-}
-
-/// The classic storms replayed with `delta_grants` on: the flag is set
-/// after every PRNG draw, so each seed's world, workload, and fault
-/// plan are bit-identical to the plain run — only the grants' wire form
-/// changes. Both oracles run on every seed (traced runs feed the causal
-/// checker, which verifies each patched page against the full-serve
-/// bytes), plus the §7.2-style completion check; at least one seed must
-/// actually ship a delta so the sweep can't silently degenerate into
-/// full grants.
-#[test]
-fn delta_mode_fault_storms_preserve_coherence() {
-    let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_SEEDS", 60);
-    let mut failures = Vec::new();
-    let mut deltas_shipped = false;
-    for seed in start..start + count {
-        let (outcome, trace) = run_fuzz_seed_delta_traced(seed);
-        if !outcome.is_ok() {
-            eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed} --delta --trace"
-            );
-            failures.push(seed);
-        }
-        deltas_shipped |=
-            trace.iter().any(|ev| ev.kind == mirage_trace::TraceKind::DeltaGrantSent);
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} delta-mode fuzz seeds failed: {failures:?} \
-         (see stderr for replay commands)",
-        failures.len()
-    );
-    assert!(
-        deltas_shipped,
-        "no delta grant shipped across {count} delta-mode seeds — the mode is inert"
-    );
-}
-
-/// One protocol's sweep over the pinned seed range, traced: both
-/// offline oracles (copy-state and timestamp-ordering) cross-check the
-/// in-world quiescence checks on every seed. A failure prints the
-/// protocol-qualified `fault_storm` replay command.
-fn protocol_sweep(protocol: FuzzProtocol) {
-    let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_SEEDS", 60);
-    let mut failures = Vec::new();
-    for seed in start..start + count {
-        let (outcome, _trace) = run_fuzz_seed_protocol_traced(seed, protocol);
-        if !outcome.is_ok() {
-            eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --seed {seed} --protocol {} --trace",
-                protocol.name()
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} {} fuzz seeds failed: {failures:?} (see stderr for replay commands)",
-        failures.len(),
-        protocol.name()
-    );
-}
-
-/// The classic storms replayed under the Li–Hudak degenerate (Δ = 0,
-/// both §6.1 optimizations off): the selector is applied after every
-/// PRNG draw, so each seed's world, workload, and fault plan are
-/// bit-identical to the Mirage sweep.
-#[test]
-fn li_fault_storms_preserve_coherence() {
-    protocol_sweep(FuzzProtocol::Li);
-}
-
-/// The classic storms replayed under Tardis timestamp coherence: same
-/// worlds, same workloads, same fault plans; the quiescence oracle
-/// checks exclusive-ownership discipline and write visibility against
-/// the authoritative copy, and the timestamp-ordering trace oracle
-/// checks every grant the home issued.
-#[test]
-fn tardis_fault_storms_preserve_coherence() {
-    protocol_sweep(FuzzProtocol::Tardis);
-}
-
-/// Cross-protocol differential: each seed runs under all three
-/// protocols and the authoritative page bytes at quiescence must be
-/// identical — every protocol must agree on what was written, not
-/// merely stay internally coherent.
-#[test]
-fn cross_protocol_matrix_converges() {
-    let start = env_u64("MIRAGE_FUZZ_START", 0);
-    let count = env_u64("MIRAGE_FUZZ_MATRIX_SEEDS", 20);
-    let mut failures = Vec::new();
-    for seed in start..start + count {
-        for outcome in run_fuzz_seed_matrix(seed) {
+        for (outcome, trace) in family.run(seed, true) {
+            inspect(&trace);
             if !outcome.is_ok() {
                 eprintln!("{}", outcome.describe());
-                eprintln!(
-                    "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                     --seed {seed} --matrix"
-                );
+                eprintln!("{}", family.replay(seed));
                 failures.push(seed);
             }
         }
     }
     assert!(
         failures.is_empty(),
-        "{} matrix runs diverged across protocols: {failures:?} \
-         (see stderr for replay commands)",
+        "{} of {count} {family:?} fuzz runs failed: {failures:?} (see stderr for replay commands)",
         failures.len()
     );
+}
+
+#[test]
+fn randomized_fault_storms_preserve_coherence() {
+    sweep(FuzzFamily::Classic(FuzzProtocol::Mirage), "MIRAGE_FUZZ_SEEDS", 60, |_| {});
+}
+
+/// Epoch-stamped role handoffs must survive message loss, duplication,
+/// and site crashes (including the library site crashing mid-handoff),
+/// and the epoch-aware trace checker must accept every run.
+#[test]
+fn randomized_fault_storms_with_migration_preserve_coherence() {
+    sweep(FuzzFamily::Migrate, "MIRAGE_FUZZ_SEEDS", 60, |_| {});
+}
+
+/// Planet-scale storms: fewer seeds than the classic sweep — each world
+/// is bigger — but the same env knobs widen it.
+#[test]
+fn large_sharded_fault_storms_preserve_coherence() {
+    sweep(FuzzFamily::Large(None), "MIRAGE_FUZZ_LARGE_SEEDS", 16, |_| {});
+}
+
+/// The causal checker verifies each patched page against the
+/// full-serve bytes; at least one seed must actually ship a delta so
+/// the sweep can't silently degenerate into full grants.
+#[test]
+fn delta_mode_fault_storms_preserve_coherence() {
+    let mut deltas_shipped = false;
+    sweep(FuzzFamily::Delta, "MIRAGE_FUZZ_SEEDS", 60, |trace| {
+        deltas_shipped |=
+            trace.iter().any(|ev| ev.kind == mirage_trace::TraceKind::DeltaGrantSent);
+    });
+    assert!(
+        deltas_shipped,
+        "no delta grant shipped across the delta-mode seeds — the mode is inert"
+    );
+}
+
+#[test]
+fn li_fault_storms_preserve_coherence() {
+    sweep(FuzzFamily::Classic(FuzzProtocol::Li), "MIRAGE_FUZZ_SEEDS", 60, |_| {});
+}
+
+#[test]
+fn tardis_fault_storms_preserve_coherence() {
+    sweep(FuzzFamily::Classic(FuzzProtocol::Tardis), "MIRAGE_FUZZ_SEEDS", 60, |_| {});
+}
+
+/// Every protocol must agree on what was written, not merely stay
+/// internally coherent.
+#[test]
+fn cross_protocol_matrix_converges() {
+    sweep(FuzzFamily::Matrix, "MIRAGE_FUZZ_MATRIX_SEEDS", 20, |_| {});
 }
 
 #[test]
@@ -236,13 +113,14 @@ fn a_known_stormy_seed_does_real_work() {
     // and the workload.
     let mut exercised = false;
     for seed in 0..20 {
-        let outcome = run_fuzz_seed(seed);
-        assert!(outcome.is_ok(), "{}", outcome.describe());
-        if let Some(stats) = outcome.stats {
-            if outcome.accesses > 0
-                && (stats.dropped > 0 || stats.crashes > 0 || stats.dup_discarded > 0)
-            {
-                exercised = true;
+        for (outcome, _) in FuzzFamily::Classic(FuzzProtocol::Mirage).run(seed, false) {
+            assert!(outcome.is_ok(), "{}", outcome.describe());
+            if let Some(stats) = outcome.stats {
+                if outcome.accesses > 0
+                    && (stats.dropped > 0 || stats.crashes > 0 || stats.dup_discarded > 0)
+                {
+                    exercised = true;
+                }
             }
         }
     }

@@ -7,21 +7,24 @@
 
 use mirage_sim::{
     program::Script,
-    run_fuzz_seed,
-    run_fuzz_seed_traced,
     world::{
         SimConfig,
         World,
     },
+    FuzzFamily,
+    FuzzOutcome,
+    FuzzProtocol,
     MemRef,
     Op,
 };
+use mirage_trace::TraceEvent;
 use mirage_types::{
     PageNum,
     SegmentId,
     SimDuration,
     SimTime,
 };
+use mirage_workloads::run_fuzz_seed_openloop;
 
 /// The fault_differential workload: writers on two sites ping-ponging
 /// two pages while a third site reads both.
@@ -112,24 +115,43 @@ fn tracing_is_invisible_to_the_simulation() {
     assert!(report.violations.is_empty(), "trace checker: {:?}", report.violations);
 }
 
-/// The same invariance must hold under fault storms: for a spread of
-/// fuzz seeds, the traced scenario reaches the identical outcome —
-/// completion, access counts, and fault-layer statistics — as the
-/// untraced one. (The fuzz generator derives everything from the seed;
-/// any drift here means tracing leaked into scheduling or RNG state.)
+/// The same invariance must hold under fault storms, in every fuzz
+/// family: for a spread of seeds, the traced scenario reaches the
+/// identical outcome — completion, access counts, violations, and
+/// fault-layer statistics — as the untraced one. (The fuzz generators
+/// derive everything from the seed; any drift here means tracing leaked
+/// into scheduling or RNG state.)
 #[test]
 fn traced_fuzz_seeds_match_untraced_outcomes() {
-    for seed in [0u64, 1, 7, 13, 42, 99, 123, 1000] {
-        let plain = run_fuzz_seed(seed);
-        let (traced, trace) = run_fuzz_seed_traced(seed);
-        assert_eq!(plain.completed, traced.completed, "seed {seed}: completion diverged");
-        assert_eq!(plain.accesses, traced.accesses, "seed {seed}: access count diverged");
-        assert_eq!(plain.violations, traced.violations, "seed {seed}: violation sets diverged");
-        match (&plain.stats, &traced.stats) {
-            (None, None) => {}
-            (Some(a), Some(b)) => assert_eq!(a, b, "seed {seed}: fault stats diverged"),
-            _ => panic!("seed {seed}: fault-layer activation diverged"),
+    type Run = fn(u64, bool) -> Vec<(FuzzOutcome, Vec<TraceEvent>)>;
+    let families: [(&str, Run, &[u64]); 8] = [
+        ("classic", |s, t| FuzzFamily::Classic(FuzzProtocol::Mirage).run(s, t), SEEDS),
+        ("li", |s, t| FuzzFamily::Classic(FuzzProtocol::Li).run(s, t), SEEDS),
+        ("tardis", |s, t| FuzzFamily::Classic(FuzzProtocol::Tardis).run(s, t), SEEDS),
+        ("migrate", |s, t| FuzzFamily::Migrate.run(s, t), SEEDS),
+        ("delta", |s, t| FuzzFamily::Delta.run(s, t), SEEDS),
+        ("matrix", |s, t| FuzzFamily::Matrix.run(s, t), &[0, 7, 42]),
+        ("large", |s, t| FuzzFamily::Large(None).run(s, t), &[0, 7]),
+        ("openloop", |s, t| vec![run_fuzz_seed_openloop(s, t)], SEEDS),
+    ];
+    const SEEDS: &[u64] = &[0, 1, 7, 13, 42, 99, 123, 1000];
+    for (name, run, seeds) in families {
+        for &seed in seeds {
+            let plain = run(seed, false);
+            let traced = run(seed, true);
+            assert_eq!(plain.len(), traced.len(), "{name} seed {seed}: run count diverged");
+            for ((plain, untraced), (traced, trace)) in plain.iter().zip(&traced) {
+                let at = format!("{name} seed {seed}");
+                assert_eq!(plain.completed, traced.completed, "{at}: completion diverged");
+                assert_eq!(plain.accesses, traced.accesses, "{at}: access count diverged");
+                assert_eq!(
+                    plain.violations, traced.violations,
+                    "{at}: violation sets diverged"
+                );
+                assert_eq!(plain.stats, traced.stats, "{at}: fault stats diverged");
+                assert!(untraced.is_empty(), "{at}: untraced run collected events");
+                assert!(!trace.is_empty(), "{at}: traced run produced no events");
+            }
         }
-        assert!(!trace.is_empty(), "seed {seed}: traced run produced no events");
     }
 }

@@ -265,6 +265,10 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
+    /// How many kinds there are (`SiteRestart` is the last variant), so
+    /// `kind as usize` indexes a per-kind counter array.
+    pub const COUNT: usize = TraceKind::SiteRestart as usize + 1;
+
     /// Short stable name used by the text and JSON encodings.
     pub fn name(self) -> &'static str {
         match self {

@@ -48,8 +48,6 @@ pub use openloop::{
     exp_interval,
     latency_records,
     run_fuzz_seed_openloop,
-    run_fuzz_seed_openloop_protocol_traced,
-    run_fuzz_seed_openloop_traced,
     sample_arrivals,
     ArrivalProcess,
     DemandProfile,

@@ -29,27 +29,29 @@
 //! determines the schedule and every latency distribution downstream is
 //! bit-reproducible.
 
+use std::sync::{
+    Arc,
+    Mutex,
+};
+
 use mirage_core::{
     DeltaPolicy,
     RetryPolicy,
 };
-use mirage_net::{
-    CrashEvent,
-    FaultPlan,
-    LinkFaults,
-};
 use mirage_sim::{
-    authoritative_value,
-    structural_violations,
+    storm_plan,
+    Expectation,
     FuzzOutcome,
     FuzzProtocol,
     MemRef,
     OpenLoopDemand,
     OpenLoopStation,
+    Quiescence,
     SimConfig,
     StationHandle,
     World,
 };
+use mirage_trace::TraceEvent;
 use mirage_types::{
     Access,
     Delta,
@@ -58,7 +60,6 @@ use mirage_types::{
     SegmentId,
     SimDuration,
     SimTime,
-    SiteId,
 };
 
 /// A seeded arrival process: how interarrival gaps are drawn.
@@ -277,46 +278,27 @@ fn record_violations(label: &str, station: &StationHandle) -> Vec<String> {
     violations
 }
 
-/// Classic-profile open-loop fuzz: Mirage protocol, untraced.
-pub fn run_fuzz_seed_openloop(seed: u64) -> FuzzOutcome {
-    run_fuzz_seed_openloop_protocol_traced(seed, false, FuzzProtocol::Mirage).0
-}
-
-/// Classic-profile open-loop fuzz with both offline trace oracles
-/// (causal + timestamp) asserted by the caller over the returned trace.
-pub fn run_fuzz_seed_openloop_traced(
-    seed: u64,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
-    run_fuzz_seed_openloop_protocol_traced(seed, true, FuzzProtocol::Mirage)
-}
-
 /// The open-loop fuzz scenario: 2–4 sites, each hosting one open-loop
 /// station whose arrival process (Poisson, deterministic, or MMPP) and
-/// demand mix are drawn from the seed, run under a classic-profile
-/// fault storm (drops, duplicates, delays, up to two site crashes)
-/// with a clean convergence window after the horizon.
+/// demand mix are drawn from the seed, run under the shared fault storm
+/// ([`mirage_sim::storm_plan`]: drops, duplicates, delays, up to two
+/// site crashes) with a clean convergence window after the horizon.
+/// Mirage only: with Δ pinned ≥ 1 the granted access always completes
+/// before the page leaves, while Li–Hudak (Δ = 0 by definition) and
+/// Tardis livelock under sustained open-loop overload.
 ///
 /// Oracles at quiescence, all folded into the outcome's violations:
 ///
-/// 1. structural coherence ([`mirage_sim::structural_violations`] —
-///    §5.0 invariants for Mirage/Li, ownership discipline for Tardis);
-/// 2. write visibility: each station writes a private word, so the
-///    last *scheduled* write to each page must be the authoritative
-///    value ([`mirage_sim::authoritative_value`]);
-/// 3. record lifecycle: every injected demand granted, stamps ordered
+/// 1. the shared quiescence tail ([`mirage_sim::Quiescence::check`]):
+///    the §5.0 structural invariants, write visibility — each station
+///    writes a private word, so the last *scheduled* write to each page
+///    must be the authoritative value — and, when `traced`, both
+///    offline trace oracles;
+/// 2. record lifecycle: every injected demand granted, stamps ordered
 ///    `arrival ≤ submit ≤ grant`, submits FIFO per station.
 ///
-/// When `traced`, both offline trace oracles (`mirage_trace::check`
-/// and `check_timestamps`) also run, their violations folded into the
-/// outcome; the raw trace is returned for further inspection.
-///
-/// The protocol selector is applied after every PRNG draw, so for a
-/// given seed all protocols replay the bit-identical scenario.
-pub fn run_fuzz_seed_openloop_protocol_traced(
-    seed: u64,
-    traced: bool,
-    protocol: FuzzProtocol,
-) -> (FuzzOutcome, Vec<mirage_trace::TraceEvent>) {
+/// The raw trace is returned for further inspection (empty untraced).
+pub fn run_fuzz_seed_openloop(seed: u64, traced: bool) -> (FuzzOutcome, Vec<TraceEvent>) {
     let mut rng = Prng::new(seed ^ 0x0BE9_C0DE);
     let n_sites = 2 + rng.below(3) as usize; // 2..=4
     let pages = 1 + rng.below(2); // 1..=2
@@ -338,45 +320,25 @@ pub fn run_fuzz_seed_openloop_protocol_traced(
     cfg.protocol.delta = DeltaPolicy::Uniform(Delta(1 + rng.below(2) as u32));
     cfg.protocol.retry = Some(RetryPolicy::default());
 
-    // Storm horizon 0.8–2.0 s, then a perfect network: the run must
-    // converge, not merely survive.
-    let horizon_ms = 800 + rng.below(1_200);
-    let horizon = SimTime::ZERO + SimDuration::from_millis(horizon_ms);
-    let mut plan = FaultPlan::none();
-    plan.seed = seed;
-    plan.horizon = horizon;
-    plan.gap_wait = SimDuration::from_millis(25);
-    plan.default_link = LinkFaults {
-        drop_pm: rng.below(300) as u32,
-        dup_pm: rng.below(200) as u32,
-        delay_pm: rng.below(1_500) as u32,
-        max_delay: SimDuration::from_millis(1 + rng.below(30)),
-    };
-    let mut candidates: Vec<usize> = (0..n_sites).collect();
-    for _ in 0..rng.below(3) {
-        let site = candidates.swap_remove(rng.below(candidates.len() as u64) as usize);
-        let at = SimTime::ZERO + SimDuration::from_millis(200 + rng.below(horizon_ms - 400));
-        let down = SimDuration::from_millis(80 + rng.below(600));
-        plan.crashes.push(CrashEvent { site: SiteId(site as u16), at, back_at: at + down });
-    }
-    let active = plan.is_active();
-
-    // Set after every config-shaping draw: the rival protocols replay
-    // the exact same storm and schedules.
-    protocol.apply(&mut cfg);
-
     let mut world = World::new(n_sites, cfg);
     if traced {
         world.enable_tracing();
     }
     let seg = world.create_segment(0, pages as usize);
+
+    // Storm horizon 0.8–2.0 s, then a perfect network: the run must
+    // converge, not merely survive.
+    let horizon_ms = 800 + rng.below(1_200);
+    let plan = storm_plan(&mut rng, seed, horizon_ms, (0..n_sites).collect());
+    let horizon = plan.horizon;
     world.install_fault_plan(plan);
 
     // One station per site, one worker each (so submits are FIFO and
     // the last scheduled write per page is the authoritative value).
     // Arrivals continue past the storm horizon into the clean window.
     let arr_horizon = SimDuration::from_millis(horizon_ms + 300);
-    let mut stations: Vec<(String, StationHandle, Vec<Option<u32>>, usize)> = Vec::new();
+    let mut stations: Vec<StationHandle> = Vec::new();
+    let mut expectations = Vec::new();
     for site in 0..n_sites {
         let process = match rng.below(3) {
             0 => ArrivalProcess::Poisson { rate_per_sec: 20.0 + rng.below(100) as f64 },
@@ -405,56 +367,22 @@ pub fn run_fuzz_seed_openloop_protocol_traced(
             workers: 1,
             shm_pages: pages as usize,
         });
-        stations.push((format!("station {site}"), handle, expected, site * 4));
+        stations.push(handle);
+        expectations.push(Expectation {
+            label: format!("station {site}"),
+            offset: site * 4,
+            last: Arc::new(Mutex::new(expected)),
+        });
     }
 
-    let deadline = horizon + SimDuration::from_millis(120_000);
-    let completed = world.run_to_completion(deadline);
-    // Quiescence: drain residual protocol traffic before checking state.
-    world.run_for(SimDuration::from_millis(5_000));
-
-    let mut violations = Vec::new();
-    if completed {
-        violations.extend(structural_violations(&world, seg, pages, protocol));
-        for (label, handle, expected, write_offset) in &stations {
-            for (p, want) in expected.iter().enumerate() {
-                let Some(want) = want else { continue };
-                let page = PageNum(p as u32);
-                let got = authoritative_value(&world, seg, page, *write_offset, protocol);
-                if got != Some(*want) {
-                    violations.push(format!(
-                        "write visibility: {label} page {p}: last scheduled write \
-                         {want}, authoritative copy holds {got:?}"
-                    ));
-                }
-            }
-            violations.extend(record_violations(label, handle));
+    let tail = Quiescence { seed, seg, pages, protocol: FuzzProtocol::Mirage, horizon, traced };
+    let (mut outcome, trace) = tail.check(&mut world, &expectations);
+    if outcome.completed {
+        for (e, station) in expectations.iter().zip(&stations) {
+            outcome.violations.extend(record_violations(&e.label, station));
         }
     }
-
-    let trace = world.take_trace();
-    if traced && completed {
-        let report = mirage_trace::check(&trace);
-        for v in report.violations {
-            violations.push(format!("trace checker: {v}"));
-        }
-        let ts = mirage_trace::check_timestamps(&trace);
-        for v in ts.violations {
-            violations.push(format!("timestamp oracle: {v}"));
-        }
-    }
-
-    (
-        FuzzOutcome {
-            seed,
-            completed,
-            violations,
-            stuck: world.stuck_pids(),
-            stats: if active { world.fault_stats() } else { None },
-            accesses: world.total_accesses(),
-        },
-        trace,
-    )
+    (outcome, trace)
 }
 
 /// Drains the records of a finished station into latency records (one
@@ -477,6 +405,8 @@ pub fn latency_records(station: &StationHandle) -> Vec<mirage_trace::LatencyReco
 
 #[cfg(test)]
 mod tests {
+    use mirage_types::SiteId;
+
     use super::*;
 
     /// Interarrival gaps of `process` over a long horizon, in seconds.

@@ -7,13 +7,11 @@
 //! closed-loop sweeps in `mirage-sim`. A failing seed replays with:
 //!
 //! ```text
-//! cargo run --release -p mirage-bench --bin fault_storm -- --openloop --seed <N> --trace
+//! cargo run --release -p mirage-bench --bin fault_storm -- --seed <N> --openloop --trace
 //! ```
 
-use mirage_workloads::{
-    run_fuzz_seed_openloop,
-    run_fuzz_seed_openloop_traced,
-};
+use mirage_sim::replay_command;
+use mirage_workloads::run_fuzz_seed_openloop;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -28,17 +26,14 @@ fn open_loop_fault_storms_preserve_coherence() {
         // Traced: the causal and timestamp oracles both run over the
         // trace inside the harness, cross-checking the in-world
         // quiescence oracles; their violations are in the outcome.
-        let (outcome, trace) = run_fuzz_seed_openloop_traced(seed);
+        let (outcome, trace) = run_fuzz_seed_openloop(seed, true);
         assert!(
             !outcome.completed || !trace.is_empty(),
             "seed {seed}: traced run produced no trace events"
         );
         if !outcome.is_ok() {
             eprintln!("{}", outcome.describe());
-            eprintln!(
-                "replay: cargo run --release -p mirage-bench --bin fault_storm -- \
-                 --openloop --seed {seed} --trace"
-            );
+            eprintln!("{}", replay_command(seed, " --openloop --trace"));
             failures.push(seed);
         }
     }
@@ -57,7 +52,7 @@ fn a_known_open_loop_seed_does_real_work() {
     // shared-memory work.
     let mut exercised = false;
     for seed in 0..12 {
-        let outcome = run_fuzz_seed_openloop(seed);
+        let (outcome, _) = run_fuzz_seed_openloop(seed, false);
         assert!(outcome.is_ok(), "{}", outcome.describe());
         if let Some(stats) = outcome.stats {
             if outcome.accesses > 50
